@@ -8,6 +8,7 @@ level sets produce.
 import numpy as np
 
 import parcap as pc
+from parcap.kernel import log_pole_weight
 
 # the kernel is a probability density in space for any positive time gap
 z = pc.point([0.0, 0.0], 1.0)
@@ -41,6 +42,7 @@ probe = pc.point([0.4, 0.1], -0.6)
 ratio = pc.kernel_ratio(ball.center, probe, lo)
 print("\nratio vs level              :", ratio, ">", ball.level, "=>", ball.contains_point(probe))
 
-# a finite-difference probe of the heat operator certifies caloric fields
-f = lambda x, t: pc.h_pole(pc.point(x, t), up)
+# a finite-difference probe of the heat operator certifies caloric fields;
+# fields take point arrays xs (M, N), ts (M,) and return M values
+f = lambda xs, ts: np.exp(log_pole_weight(xs, ts, up))
 print("heat operator on h (fd)     :", pc.heat_operator_fd(f, zz))

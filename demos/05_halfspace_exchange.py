@@ -11,6 +11,7 @@ import numpy as np
 
 import parcap as pc
 from parcap.appell import AppellDirection as D
+from parcap.kernel import log_pole_weight
 from parcap.measures import DiscreteMeasure
 
 rng = np.random.default_rng(1)
@@ -22,12 +23,13 @@ z = pc.point([1.3], 0.8)
 back = pc.appell_map(pc.appell_map(z, D.FORWARD), D.BACKWARD)
 print("round trip error:", abs(back.t - z.t), np.abs(back.x - z.x))
 
-# the forward transform of the upper pole function is the drift exponential
-h_up = lambda x, t: pc.h_pole(pc.point(x, t), up)
+# the forward transform of the upper pole function is the drift exponential;
+# fields and their transforms take point arrays xs (M, N), ts (M,)
+h_up = lambda xs, ts: np.exp(log_pole_weight(xs, ts, up))
 Ah = pc.appell_transform(h_up, D.FORWARD)
-w = pc.point([0.4], -1.1)
-print("transformed pole function :", Ah(w.x, w.t))
-print("drift exponential         :", pc.h_tilde(w, lo))
+ws_x, ws_t = np.array([[0.4], [-0.3]]), np.array([-1.1, -0.5])
+print("transformed pole function :", Ah(ws_x, ws_t))
+print("drift exponential         :", np.exp(log_pole_weight(ws_x, ws_t, lo)))
 
 # measures push forward with their masses; potentials transport pointwise
 mu = DiscreteMeasure(rng.normal(size=(25, 1)), rng.uniform(0.2, 0.9, 25), rng.uniform(0, 1, 25))
@@ -53,5 +55,5 @@ vl = pc.capacity_of_region(pc.shell_complement_intersection(None, shell.appell_i
 print("capacity upstairs/downstairs:", vu, vl, f"(rel diff {abs(vu - vl) / vl:.3%})")
 
 # the operator transfer identity, probed by finite differences
-res = pc.verify_h_identities(lambda x, t: float(x[0]) * t, pc.point([0.2], 0.9), up, step=4e-3)
+res = pc.verify_h_identities(lambda xs, ts: xs[:, 0] * ts, pc.point([0.2], 0.9), up, step=4e-3)
 print("\noperator identity sides   :", res.lhs, res.rhs, "residual", res.residual)

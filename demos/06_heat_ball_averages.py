@@ -15,18 +15,20 @@ import numpy as np
 import parcap as pc
 from parcap.averaging import harnack_check, mean_value, phi, phi_prime, subparabolic_gap
 from parcap.geometry import HeatBall
+from parcap.kernel import log_pole_weight
 
 lo = pc.lower_context(1, gamma=[1.0])
 ball = HeatBall(lo, -0.25, 1.0)
 
-# mean value: constant field and a weighted caloric quotient
-print("mean of constant field      :", mean_value(lambda x, t: 1.0, ball.center, 1.0, lo))
+# mean value: constant field and a weighted caloric quotient; a field takes
+# point arrays xs (M, N), ts (M,) and returns M values (or one constant)
+print("mean of constant field      :", mean_value(lambda xs, ts: 1.0, ball.center, 1.0, lo))
 
-def u_quad(x, t):
-    v = float(np.sum((x - lo.gamma) ** 2)) + 2.0 * t
-    return v / pc.h_tilde(pc.point(x, t), lo)
+def u_quad(xs, ts):
+    v = np.sum((xs - lo.gamma) ** 2, axis=1) + 2.0 * ts
+    return v / np.exp(log_pole_weight(xs, ts, lo))
 
-center_val = u_quad(ball.center.x, ball.center.t)
+center_val = u_quad(ball.center.x[None, :], np.array([ball.center.t]))[0]
 got = mean_value(u_quad, ball.center, 1.0, lo)
 print("weighted caloric quotient   :", got, "center value:", center_val)
 
@@ -36,8 +38,8 @@ b = phi(u_quad, 1.0, ball.center, lo).value
 print("scale functional at c=.5, 1 :", a, b)
 
 # derivative identity vs a difference quotient, for a non-caloric field
-u_t = lambda x, t: t
-pp = phi_prime(u_t, 1.0, ball.center, lo, hu_operator=lambda x, t: 1.0).value
+u_t = lambda xs, ts: ts
+pp = phi_prime(u_t, 1.0, ball.center, lo, hu_operator=lambda xs, ts: 1.0).value
 h = 0.02
 fd = (phi(u_t, 1.0 + h, ball.center, lo).value - phi(u_t, 1.0 - h, ball.center, lo).value) / (2 * h)
 print("\nscale derivative            :", pp)
@@ -46,16 +48,16 @@ print("difference quotient         :", fd)
 # gap inequality for a strictly sub-caloric weighted field
 gamma0 = pc.lower_context(1)
 ball0 = HeatBall(gamma0, -0.25, 1.0)
-u_sub = lambda x, t: -(t + 0.25)
+u_sub = lambda xs, ts: -(ts + 0.25)
 print("\ngap inequality (lhs >= C * rhs):")
 for c in (0.25, 0.5, 1.0):
-    res = subparabolic_gap(u_sub, c, ball0.center, gamma0, hu_operator=lambda x, t: -1.0)
+    res = subparabolic_gap(u_sub, c, ball0.center, gamma0, hu_operator=lambda xs, ts: -1.0)
     print(f"  c={c:<5} lhs={res.lhs:.5f} rhs={res.rhs:.5f} fitted constant={res.fitted_constant:.4f}")
 
 # two-sided estimate: slice average against the inner-ball infimum
 big = HeatBall(gamma0, -0.25, 4.0)
-src = pc.point([0.3], big.time_window[0] - 1.0)
-u_src = lambda x, t: pc.kernel_ratio(pc.point(x, t), src, gamma0)
+src_x, src_t = np.array([[0.3]]), np.array([big.time_window[0] - 1.0])
+u_src = lambda xs, ts: pc.kernel_ratio_matrix(xs, ts, src_x, src_t, gamma0)[:, 0]
 print("\ntwo-sided estimate ratios over scales:")
 for c in (0.5, 1.0, 2.0):
     res = harnack_check(u_src, ball0.center, c, gamma0)

@@ -61,7 +61,6 @@ from .geometry import (
     NodeCloud,
     Resolution,
     ball_radius,
-    contains,
     discretize,
     dyadic_shell,
     harnack_region,

@@ -16,17 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .kernel import (
     DomainError,
+    Field,
     PoleContext,
     SpaceTimePoint,
-    h_pole,
-    h_tilde,
+    field_values,
     heat_operator_fd,
+    log_pole_weight,
     point,
 )
 from .measures import DiscreteMeasure
@@ -41,8 +41,6 @@ __all__ = [
     "IdentityResidual",
     "verify_h_identities",
 ]
-
-Field = Callable[[np.ndarray, float], float]
 
 
 class AppellDirection(Enum):
@@ -88,31 +86,25 @@ def appell_map(z, direction: AppellDirection):
 
 
 def appell_transform(u: Field, direction: AppellDirection) -> Field:
-    """Induced transform on scalar fields, composed lazily.
+    """Induced transform on fields, composed lazily.
 
     Forward takes a field on the upper half-space to one on the lower:
     v(x, t) = (-pi/t)^(N/2) exp(-|x|^2/4t) u(-x/2t, -1/4t), defined for t < 0.
     Backward takes a lower field to F(x, t) u(x/2t, -1/4t), t > 0.
     """
-    if direction is AppellDirection.FORWARD:
+    forward = direction is AppellDirection.FORWARD
+    inverse = AppellDirection.BACKWARD if forward else AppellDirection.FORWARD
 
-        def v(x: np.ndarray, t: float) -> float:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            if t >= 0.0:
-                raise DomainError("forward-transformed field lives in t < 0")
-            n = x.shape[0]
-            pre = (-np.pi / t) ** (0.5 * n) * np.exp(-np.dot(x, x) / (4.0 * t))
-            return pre * u(-x / (2.0 * t), -1.0 / (4.0 * t))
-
-        return v
-
-    def v(x: np.ndarray, t: float) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if t <= 0.0:
-            raise DomainError("backward-transformed field lives in t > 0")
-        n = x.shape[0]
-        pre = (4.0 * np.pi * t) ** (-0.5 * n) * np.exp(-np.dot(x, x) / (4.0 * t))
-        return pre * u(x / (2.0 * t), -1.0 / (4.0 * t))
+    def v(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        outside = ts >= 0.0 if forward else ts <= 0.0
+        if np.any(outside):
+            side = "t < 0" if forward else "t > 0"
+            raise DomainError(f"{direction.value}-transformed field lives in {side}")
+        n = xs.shape[1]
+        gauss = np.exp(-np.sum(xs**2, axis=1) / (4.0 * ts))
+        pre = (-np.pi / ts) ** (0.5 * n) if forward else (4.0 * np.pi * ts) ** (-0.5 * n)
+        ys, ss = appell_map_arrays(xs, ts, inverse)
+        return pre * gauss * field_values(u, ys, ss)
 
     return v
 
@@ -147,49 +139,35 @@ def verify_h_identities(
     Forward: for smooth u on the upper half-space and upper point z with
     image w, compares H[h u] / h at z against 4 tau_w^2 H[h~ u(inverse)] / h~
     at w, both sides by finite differences.  Backward starts from a lower
-    field and point.  The difference of the two sides is the residual.
+    field and point, with the roles of h and h~ exchanged.  The difference
+    of the two sides is the residual.
     """
-    if direction is AppellDirection.FORWARD:
-        if not ctx.is_upper:
-            raise DomainError("forward identity starts from an upper context")
-        ctx_l = ctx.mirror()
-        w = appell_map(z, AppellDirection.FORWARD)
+    forward = direction is AppellDirection.FORWARD
+    if forward != ctx.is_upper:
+        side = "an upper" if forward else "a lower"
+        raise DomainError(f"{direction.value} identity starts from {side} context")
+    image_ctx = ctx.mirror()
+    inverse = AppellDirection.BACKWARD if forward else AppellDirection.FORWARD
+    w = appell_map(z, direction)
 
-        def hu(x, t):
-            return h_pole(point(x, t), ctx) * u(x, t)
+    def weight(xs, ts, c):
+        return np.exp(log_pole_weight(xs, ts, c))
 
-        lhs = heat_operator_fd(hu, z, step=step) / h_pole(z, ctx)
+    def weight_at(p, c):
+        return float(weight(p.x, p.t, c)[0])
 
-        def gtil(x, t):
-            zi = appell_map(point(x, t), AppellDirection.BACKWARD)
-            return h_tilde(point(x, t), ctx_l) * u(zi.x, zi.t)
+    def weighted(xs, ts):
+        return weight(xs, ts, ctx) * field_values(u, xs, ts)
 
-        rhs = (
-            4.0
-            * w.t**2
-            * heat_operator_fd(gtil, w, step=step)
-            / h_tilde(w, ctx_l)
-        )
-        return IdentityResidual(lhs, rhs)
+    def weighted_pullback(xs, ts):
+        ys, ss = appell_map_arrays(xs, ts, inverse)
+        return weight(xs, ts, image_ctx) * field_values(u, ys, ss)
 
-    if ctx.is_upper:
-        raise DomainError("backward identity starts from a lower context")
-    ctx_u = ctx.mirror()
-    zu = appell_map(z, AppellDirection.BACKWARD)
-
-    def htu(x, t):
-        return h_tilde(point(x, t), ctx) * u(x, t)
-
-    lhs = heat_operator_fd(htu, z, step=step) / h_tilde(z, ctx)
-
-    def g(x, t):
-        wi = appell_map(point(x, t), AppellDirection.FORWARD)
-        return h_pole(point(x, t), ctx_u) * u(wi.x, wi.t)
-
+    lhs = heat_operator_fd(weighted, z, step=step, ctx=ctx) / weight_at(z, ctx)
     rhs = (
         4.0
-        * zu.t**2
-        * heat_operator_fd(g, zu, step=step)
-        / h_pole(zu, ctx_u)
+        * w.t**2
+        * heat_operator_fd(weighted_pullback, w, step=step, ctx=image_ctx)
+        / weight_at(w, image_ctx)
     )
     return IdentityResidual(lhs, rhs)

@@ -31,10 +31,12 @@ import numpy as np
 from .geometry import HeatBall, Resolution, sphere_directions
 from .kernel import (
     DomainError,
+    Field,
     PoleContext,
     SpaceTimePoint,
     fd_step,
-    heat_operator_fd,
+    field_values,
+    heat_operator_fd_batch,
     log_pole_weight,
     point,
 )
@@ -53,8 +55,6 @@ __all__ = [
     "harnack_check",
     "weighted_heat_residual",
 ]
-
-Field = Callable[[np.ndarray, float], float]
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,14 @@ def _time_segments(ball: HeatBall, spec: QuadratureSpec):
 
 def _ball_integral(
     ball: HeatBall,
-    g: Callable[[np.ndarray, float, float, float], float],
+    g: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     spec: QuadratureSpec,
 ) -> tuple[float, float]:
     """Integral over the ball of g(x, t, r, R_t) r^(N-1) dr dsigma dt.
 
-    Returns (value over the capped window, cap base time).
+    g takes the (M, N) points and the (M,) times, radii and section radii of
+    one time segment's (gauss x radial x direction) grid and returns (M,)
+    values.  Returns (value over the capped window, cap base time).
     """
     N = ball.dim
     dirs, wdir = sphere_directions(
@@ -176,25 +178,29 @@ def _ball_integral(
         width = b - a
         if width <= 0.0:
             continue
-        for tq, twq in zip(gx, gw):
-            t = a + width * tq
-            R = float(ball.radius(np.array([t]))[0])
-            if R <= 0.0:
-                continue
-            axis = ball.axis(np.array([t]))[0]
-            rs = R * rx
-            slice_val = 0.0
-            for r, rwq in zip(rs, rw):
-                ring = 0.0
-                for d, wd in zip(dirs, wdir):
-                    ring += wd * g(axis + r * d, t, r, R)
-                slice_val += rwq * (r ** (N - 1)) * ring
-            total += twq * width * R * slice_val
+        t = a + width * gx
+        R = ball.radius(t)
+        live = R > 0.0
+        t, R, tw = t[live], R[live], gw[live]
+        if t.size == 0:
+            continue
+        rs = R[:, None] * rx[None, :]  # (T, K)
+        xs = ball.axis(t)[:, None, None, :] + rs[:, :, None, None] * dirs[None, None, :, :]
+        shape = xs.shape[:3]
+        vals = g(
+            xs.reshape(-1, N),
+            np.broadcast_to(t[:, None, None], shape).reshape(-1),
+            np.broadcast_to(rs[:, :, None], shape).reshape(-1),
+            np.broadcast_to(R[:, None, None], shape).reshape(-1),
+        ).reshape(shape)
+        ring = vals @ wdir
+        slices = np.sum(rw * rs ** (N - 1) * ring, axis=1)
+        total += float(np.sum(tw * width * R * slices))
     return total, cap_base
 
 
 def _cap_geometric_factor(
-    ball: HeatBall, k_of_t: Callable[[float], float], cap_base: float
+    ball: HeatBall, k_of_t: Callable[[np.ndarray], np.ndarray], cap_base: float
 ) -> float:
     """Integral of k(t) |S^(N-1)| R(t)^(N+2) / (N+2) over the vertex cap."""
     N = ball.dim
@@ -204,16 +210,13 @@ def _cap_geometric_factor(
     if h <= 0.0:
         return 0.0
     gx, gw = _gauss(6)
-    total = 0.0
     # dyadic subcells toward the vertex handle the residual singularity
-    for j in range(14):
-        b = hi - h * 2.0 ** (-j)
-        bb = hi - h * 2.0 ** (-(j + 1))
-        for tq, twq in zip(gx, gw):
-            t = b + (bb - b) * tq
-            R = float(ball.radius(np.array([t]))[0])
-            total += twq * (bb - b) * k_of_t(t) * sphere * R ** (N + 2) / (N + 2)
-    return total
+    j = np.arange(14)[:, None]
+    b = hi - h * 2.0 ** (-j)
+    width = (hi - h * 2.0 ** (-(j + 1))) - b
+    t = b + width * gx
+    R = ball.radius(t).reshape(t.shape)
+    return float(np.sum(gw * width * k_of_t(t) * sphere * R ** (N + 2) / (N + 2)))
 
 
 def _ball_from_center(center: SpaceTimePoint, c: float, ctx: PoleContext) -> HeatBall:
@@ -234,12 +237,12 @@ def _rho_weight_raw(u: Field, ball: HeatBall, spec: QuadratureSpec) -> float:
         t0 = ball.time_center
         k = lambda t: 1.0 / (t - t0) ** 2
 
-    def g(x, t, r, R):
-        return u(x, t) * r * r * k(t)
+    def g(xs, ts, rs, Rs):
+        return field_values(u, xs, ts) * rs * rs * k(ts)
 
     val, cap_base = _ball_integral(ball, g, spec)
-    axis = ball.axis(np.array([cap_base]))[0]
-    u_ref = u(axis, cap_base)
+    cap_t = np.array([cap_base])
+    u_ref = field_values(u, ball.axis(cap_t), cap_t)[0]
     val += u_ref * _cap_geometric_factor(ball, k, cap_base)
     return val
 
@@ -308,35 +311,26 @@ def mean_value(
 
 def weighted_heat_residual(
     u: Field, ctx: PoleContext, ball: Optional[HeatBall] = None
-) -> Callable[[np.ndarray, float], float]:
-    """Pointwise probe of H[weight * u] / weight by finite differences.
+) -> Field:
+    """Probe of H[weight * u] / weight by finite differences, as a field.
 
     The step shrinks near the ball's time window so stencils stay in the
     smooth zone; pass an analytic operator instead wherever it is known.
     """
 
-    def weight(x, t):
-        return float(np.exp(log_pole_weight(np.atleast_2d(x), np.array([t]), ctx)[0]))
+    def weighted(xs, ts):
+        return np.exp(log_pole_weight(xs, ts, ctx)) * field_values(u, xs, ts)
 
-    if ball is not None:
-        lo, hi0 = ball.time_window
-    else:
-        lo = hi0 = None
-
-    def q(x, t):
-        z = point(x, t)
-        h = fd_step(z)
-        if lo is not None:
-            h = min(h, 0.2 * abs(hi0 - t) + 1e-12, 0.2 * abs(t - lo) + 1e-12)
-        if ctx.is_upper:
-            h = min(h, 0.2 * t)
-        else:
-            h = min(h, 0.2 * abs(t))
-
-        def f(xx, tt):
-            return weight(xx, tt) * u(xx, tt)
-
-        return heat_operator_fd(f, z, step=h) / weight(x, t)
+    def q(xs, ts):
+        h = fd_step(xs, ts)
+        if ball is not None:
+            lo, hi = ball.time_window
+            h = np.minimum(h, 0.2 * np.abs(hi - ts) + 1e-12)
+            h = np.minimum(h, 0.2 * np.abs(ts - lo) + 1e-12)
+        h = np.minimum(h, 0.2 * np.abs(ts))
+        return heat_operator_fd_batch(weighted, xs, ts, h) / np.exp(
+            log_pole_weight(xs, ts, ctx)
+        )
 
     return q
 
@@ -359,19 +353,17 @@ def phi_prime(
     if ctx.is_upper:
         pref = N * t0 / (2.0 ** (N + 1) * c ** (0.5 * (N + 2)))
 
-        def g(x, t, r, R):
-            return q(x, t) * (R * R - r * r) / (t ** (N + 1) * (t - t0))
+        def g(xs, ts, rs, Rs):
+            return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts ** (N + 1) * (ts - t0))
 
     else:
         pref = N / (2.0 * c ** (0.5 * (N + 2)))
 
-        def g(x, t, r, R):
-            return q(x, t) * (R * R - r * r) / (t - t0)
+        def g(xs, ts, rs, Rs):
+            return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts - t0)
 
     def raw(s: QuadratureSpec) -> float:
-        ball_local = _ball_from_center(center, c, ctx)
-        val, _ = _ball_integral(ball_local, g, s)
-        return val
+        return _ball_integral(ball, g, s)[0]
 
     res = _with_estimate(raw, quad, "phi_prime")
     return QuadResult(pref * res.value, pref * res.error_estimate)
@@ -387,17 +379,13 @@ def _sample_ball_points(ball: HeatBall, n_time=10, n_radial=4):
         ts = -1.0 / (4.0 * (s_lo + fr * (s_hi - s_lo)))
     else:
         ts = lo + fr * (hi - lo)
-    pts_x, pts_t = [], []
-    for t in ts:
-        R = float(ball.radius(np.array([t]))[0])
-        if R <= 0:
-            continue
-        axis = ball.axis(np.array([t]))[0]
-        for rfrac in (np.arange(n_radial) + 0.5) / n_radial:
-            for d in dirs:
-                pts_x.append(axis + rfrac * R * d)
-                pts_t.append(t)
-    return np.asarray(pts_x), np.asarray(pts_t)
+    R = ball.radius(ts)
+    ts, R = ts[R > 0], R[R > 0]
+    rfrac = (np.arange(n_radial) + 0.5) / n_radial
+    rs = rfrac[None, :] * R[:, None]
+    pts = ball.axis(ts)[:, None, None, :] + rs[:, :, None, None] * dirs[None, None, :, :]
+    pts_t = np.broadcast_to(ts[:, None, None], pts.shape[:3])
+    return pts.reshape(-1, ball.dim), pts_t.reshape(-1)
 
 
 def subparabolic_gap(
@@ -420,7 +408,7 @@ def subparabolic_gap(
     q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ctx, big)
 
     xs, ts = _sample_ball_points(big)
-    vals = np.array([q(x, t) for x, t in zip(xs, ts)])
+    vals = field_values(q, xs, ts)
     allowed = precheck_tol * (1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0)
     if vals.size and float(np.max(vals)) > allowed:
         i = int(np.argmax(vals))
@@ -435,22 +423,29 @@ def subparabolic_gap(
     half = _ball_from_center(center, 0.5 * c, ctx)
     if ctx.is_upper:
 
-        def g(x, t, r, R):
-            return -q(x, t) / (2.0 * t) ** N
+        def g(xs, ts, rs, Rs):
+            return -field_values(q, xs, ts) / (2.0 * ts) ** N
 
     else:
 
-        def g(x, t, r, R):
-            return -q(x, t)
+        def g(xs, ts, rs, Rs):
+            return -field_values(q, xs, ts)
 
     def raw(s: QuadratureSpec) -> float:
-        val, _ = _ball_integral(half, g, s)
-        return val
+        return _ball_integral(half, g, s)[0]
 
     res = _with_estimate(raw, quad, "subparabolic_gap")
     rhs = res.value / c ** (0.5 * N)
     fitted = lhs / rhs if rhs > 0 else float("inf")
     return GapResult(lhs, rhs, fitted)
+
+
+def _require_nonnegative(vals, xs, ts, message):
+    """Raise at the first sample point with a negative field value."""
+    neg = vals < 0
+    if np.any(neg):
+        i = int(np.argmax(neg))
+        raise PreconditionError(message, point(xs[i], ts[i]))
 
 
 def harnack_check(
@@ -482,28 +477,19 @@ def harnack_check(
         N, Resolution(base_angular=quad.angular_points, base_polar=quad.polar_points)
     )
     rx, rw = _gauss(quad.radial_points + 4)
-    acc = 0.0
-    neg_point = None
-    for rfrac, rwq in zip(rx, rw):
-        r = r_s * rfrac
-        for d, wd in zip(dirs, wdir):
-            x = slice_center + r * d
-            val = u(x, t_s)
-            if val < 0 and neg_point is None:
-                neg_point = point(x, t_s)
-            acc += rwq * wd * (r ** (N - 1)) * val
-    if neg_point is not None:
-        raise PreconditionError("field is negative on the averaging slice", neg_point)
+    r = r_s * rx
+    xs = (slice_center + r[:, None, None] * dirs[None, :, :]).reshape(-1, N)
+    ts = np.full(xs.shape[0], t_s)
+    vals = field_values(u, xs, ts)
+    _require_nonnegative(vals, xs, ts, "field is negative on the averaging slice")
+    acc = float(np.sum((rw * r ** (N - 1))[:, None] * wdir[None, :] * vals.reshape(r.size, -1)))
     sphere = 2.0 if N == 1 else (2.0 * np.pi if N == 2 else 4.0 * np.pi)
     disk_measure = sphere * r_s**N / N
     average = acc * r_s / disk_measure
 
     inner = _ball_from_center(center, 0.75 * c, ctx)
     xs, ts = _sample_ball_points(inner, n_time=24, n_radial=8)
-    inf_val = math.inf
-    for x, t in zip(xs, ts):
-        val = u(x, t)
-        if val < 0:
-            raise PreconditionError("field is negative inside the inner ball", point(x, t))
-        inf_val = min(inf_val, val)
+    vals = field_values(u, xs, ts)
+    _require_nonnegative(vals, xs, ts, "field is negative inside the inner ball")
+    inf_val = float(np.min(vals)) if vals.size else math.inf
     return HarnackResult(average, inf_val, average / inf_val if inf_val > 0 else math.inf)

@@ -18,7 +18,7 @@ slackness residual and the duality gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -346,13 +346,7 @@ def capacity_of_region(
     last: Optional[CapacityResult] = None
     empty_streak = 0
     for lv in levels:
-        resolution = Resolution(
-            level=lv,
-            base_time=base_resolution.base_time,
-            base_radial=base_resolution.base_radial,
-            base_angular=base_resolution.base_angular,
-            base_polar=base_resolution.base_polar,
-        )
+        resolution = replace(base_resolution, level=lv)
         cloud = discretize(compact, resolution)
         if cloud.is_empty:
             empty_streak += 1
@@ -387,25 +381,11 @@ def capacity_of_region(
             # a level whose probe violates feasibility has not converged yet
             certified = result.probe_max_potential <= 1.0 + tol
             if stalled and certified:
-                return _with_history(result, tuple(history), True)
+                return replace(result, history=tuple(history), converged=True)
         last = result
     assert last is not None
-    return _with_history(last, tuple(history), len(history) == 1 and last.value == 0.0)
-
-
-def _with_history(result: CapacityResult, history: tuple, converged: bool) -> CapacityResult:
-    return CapacityResult(
-        value=result.value,
-        capacitary=result.capacitary,
-        max_potential=result.max_potential,
-        min_potential_on_nodes=result.min_potential_on_nodes,
-        probe_max_potential=result.probe_max_potential,
-        comp_slack_residual=result.comp_slack_residual,
-        duality_gap=result.duality_gap,
-        resolution=result.resolution,
-        converged=converged,
-        history=history,
-        diagnostics=result.diagnostics,
+    return replace(
+        last, history=tuple(history), converged=len(history) == 1 and last.value == 0.0
     )
 
 

@@ -30,13 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import (
-    DomainError,
-    PoleContext,
-    SpaceTimePoint,
-    kernel_ratio,
-    point,
-)
+from .kernel import DomainError, PoleContext, SpaceTimePoint, point
 from .regions import Region, TimeSlab, Intersection, register_region_kind
 
 __all__ = [
@@ -45,7 +39,6 @@ __all__ = [
     "dyadic_shell",
     "level_shell",
     "ball_radius",
-    "contains",
     "harnack_region",
     "HeatBallRegion",
     "Resolution",
@@ -142,10 +135,6 @@ class HeatBall:
     def contains_point(self, w: SpaceTimePoint) -> bool:
         return bool(self.contains(w.x[None, :], np.array([w.t]))[0])
 
-    def contains_by_ratio(self, w: SpaceTimePoint) -> bool:
-        """Same set through the kernel ratio threshold (the defining form)."""
-        return kernel_ratio(self.center, w, self.ctx) > self.level
-
     def appell_image(self) -> "HeatBall":
         """The matching ball across the half-space exchange (same scale)."""
         t0 = self.time_center
@@ -237,11 +226,6 @@ def ball_radius(t_or_tau: float, ball: HeatBall) -> float:
     if t < lo or t > hi:
         raise DomainError(f"time {t} outside ball window [{lo}, {hi}]")
     return float(ball.radius(np.array([t]))[0])
-
-
-def contains(ball_or_shell, w: SpaceTimePoint) -> bool:
-    """Membership for a ball (open) or shell (closed, center included)."""
-    return ball_or_shell.contains_point(w)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ __all__ = [
     "log_pole_weight_star",
     "kernel_ratio",
     "kernel_ratio_matrix",
+    "Field",
+    "field_values",
     "heat_operator_fd",
+    "heat_operator_fd_batch",
     "fd_step",
 ]
 
@@ -328,28 +331,76 @@ def kernel_ratio(z_ref: SpaceTimePoint, w: SpaceTimePoint, ctx: PoleContext) -> 
 
 
 # ---------------------------------------------------------------------------
-# finite-difference heat operator probe
+# batched fields and the finite-difference heat operator probe
 # ---------------------------------------------------------------------------
 
-def fd_step(z: SpaceTimePoint) -> float:
-    """Default probe step 1e-4 * (1 + |z|)."""
-    return 1e-4 * (1.0 + float(np.sqrt(np.sum(z.x**2) + z.t**2)))
+Field = Callable[[np.ndarray, np.ndarray], "np.ndarray | float"]
+"""A scalar field on space-time, evaluated on point arrays.
+
+``u(xs, ts)`` takes xs of shape (M, N) and ts of shape (M,) and returns the
+M values as an (M,) array, or one scalar for a field constant in both.
+"""
 
 
-def _hf_once(f: Callable[[np.ndarray, float], float], z: SpaceTimePoint, h: float) -> float:
-    x, t = z.x, z.t
-    ft = (f(x, t + h) - f(x, t - h)) / (2.0 * h)
-    f0 = f(x, t)
-    lap = 0.0
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        lap += (f(x + e, t) - 2.0 * f0 + f(x - e, t)) / (h * h)
+def field_values(u: Field, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The (M,) values of u at the rows of (xs, ts).
+
+    Any other output shape raises: a scalar-style field indexing x[0] would
+    otherwise return a row of xs and broadcast silently.
+    """
+    vals = np.asarray(u(xs, ts), dtype=float)
+    if vals.ndim == 0:
+        return np.full(ts.shape, float(vals))
+    if vals.shape != ts.shape:
+        raise ValueError(
+            f"field returned shape {vals.shape}; expected {ts.shape} or a scalar"
+        )
+    return vals
+
+
+def fd_step(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Default probe steps 1e-4 * (1 + |z|) for the rows z = (x, t)."""
+    return 1e-4 * (1.0 + np.sqrt(np.sum(xs**2, axis=1) + ts**2))
+
+
+def _hf_once(f: Field, xs: np.ndarray, ts: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Central differences of f at every row, one call on the stacked stencil.
+
+    The stencil of a row is (x, t + h), (x, t - h), (x, t) and (x +- h e_i, t),
+    2N + 3 points in all.
+    """
+    m, n = xs.shape
+    sx = np.repeat(xs[None, :, :], 2 * n + 3, axis=0)
+    st = np.repeat(ts[None, :], 2 * n + 3, axis=0)
+    st[0] += hs
+    st[1] -= hs
+    for i in range(n):
+        sx[3 + 2 * i, :, i] += hs
+        sx[4 + 2 * i, :, i] -= hs
+    vals = field_values(f, sx.reshape(-1, n), st.reshape(-1)).reshape(2 * n + 3, m)
+    ft = (vals[0] - vals[1]) / (2.0 * hs)
+    lap = sum(
+        (vals[3 + 2 * i] - 2.0 * vals[2] + vals[4 + 2 * i]) / (hs * hs) for i in range(n)
+    )
     return ft - lap
 
 
+def heat_operator_fd_batch(
+    f: Field, xs: np.ndarray, ts: np.ndarray, steps: np.ndarray, richardson: bool = True
+) -> np.ndarray:
+    """Central-difference probe of (d/dt - Laplacian) f at each row of (xs, ts),
+    with its own step per row; see heat_operator_fd."""
+    if np.any(steps <= 0.0):
+        raise ValueError("step must be positive")
+    coarse = _hf_once(f, xs, ts, steps)
+    if not richardson:
+        return coarse
+    fine = _hf_once(f, xs, ts, 0.5 * steps)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def heat_operator_fd(
-    f: Callable[[np.ndarray, float], float],
+    f: Field,
     z: SpaceTimePoint,
     step: float | None = None,
     ctx: PoleContext | None = None,
@@ -361,15 +412,12 @@ def heat_operator_fd(
     fields to O(step^4).  If a context is given the stencil must stay inside
     its half-space.
     """
-    h = fd_step(z) if step is None else float(step)
-    if h <= 0.0:
-        raise ValueError("step must be positive")
+    xs, ts = z.x[None, :], np.array([z.t])
+    h = fd_step(xs, ts) if step is None else np.array([float(step)])
     if ctx is not None:
-        for tt in (z.t + h, z.t - h):
+        if z.dim != ctx.dim:
+            raise DimensionMismatchError(f"point dim {z.dim} vs context dim {ctx.dim}")
+        for tt in (z.t + h[0], z.t - h[0]):
             if not bool(ctx.admits(tt)):
                 raise DomainError(f"stencil time {tt} leaves the half-space")
-    coarse = _hf_once(f, z, h)
-    if not richardson:
-        return coarse
-    fine = _hf_once(f, z, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return float(heat_operator_fd_batch(f, xs, ts, h, richardson)[0])

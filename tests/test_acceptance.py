@@ -17,6 +17,7 @@ from parcap.capacity import build_collocation, capacity, capacity_of_region
 from parcap.cli import main as cli_main
 from parcap.geometry import HeatBall, NodeCloud, Resolution, default_time_center, discretize
 from parcap.hbrownian import ClusterVerdict, GridPolicy, cluster_probability, simulate, transition_parameters
+from parcap.kernel import log_heat_kernel, log_pole_weight
 from parcap.regions import (
     AppellImage,
     EmptyRegion,
@@ -87,14 +88,13 @@ def test_criterion_2_appell_suite():
     )
     assert rt <= 1e-12
 
-    h_up = lambda x, t: pc.h_pole(pc.point(x, t), up)
+    h_up = lambda xs, ts: np.exp(log_pole_weight(xs, ts, up))
     Ah = pc.appell_transform(h_up, D.FORWARD)
-    worst_h = 0.0
-    for _ in range(1000):
-        x = rng.normal(size=dim)
-        t = -rng.uniform(0.02, 4.0)
-        want = pc.h_tilde(pc.point(x, t), lo)
-        worst_h = max(worst_h, abs(Ah(x, t) - want) / want)
+    draws = [(rng.normal(size=dim), -rng.uniform(0.02, 4.0)) for _ in range(1000)]
+    xs = np.array([x for x, _ in draws])
+    ts = np.array([t for _, t in draws])
+    want = np.exp(log_pole_weight(xs, ts, lo))
+    worst_h = float(np.max(np.abs(Ah(xs, ts) - want) / want))
     assert worst_h <= 1e-10
 
     worst_k = 0.0
@@ -103,8 +103,8 @@ def test_criterion_2_appell_suite():
         wt = pc.appell_map(w, D.FORWARD)
         x = rng.normal(size=dim)
         t = wt.t - rng.uniform(0.05, 1.5)
-        Fw = lambda xx, tt: pc.heat_kernel(pc.point(xx, tt), w)
-        got = pc.appell_transform(Fw, D.FORWARD)(x, t)
+        Fw = lambda ys, ss: np.exp(log_heat_kernel(np.sum((ys - w.x) ** 2, axis=1), ss - w.t, dim))
+        got = pc.appell_transform(Fw, D.FORWARD)(x[None, :], np.array([t]))[0]
         pre = (-4.0 * np.pi * wt.t) ** (0.5 * dim) * np.exp(-np.dot(wt.x, wt.x) / (4.0 * wt.t))
         want = pre * pc.heat_kernel(pc.point(x, t), wt)
         if want > 1e-280:
@@ -112,7 +112,7 @@ def test_criterion_2_appell_suite():
     assert worst_k <= 1e-10
 
     ratios = []
-    for u in (lambda x, t: t, lambda x, t: float(x[0])):
+    for u in (lambda xs, ts: ts, lambda xs, ts: xs[:, 0]):
         z = pc.point(rng.normal(size=dim) * 0.3, 0.8)
         r1 = pc.verify_h_identities(u, z, up, step=8e-3).residual
         r2 = pc.verify_h_identities(u, z, up, step=4e-3).residual
@@ -407,23 +407,19 @@ def test_criterion_7_averaging():
     def weighted_caloric(ctx):
         g = ctx.gamma
 
-        def weight(x, t):
-            return (
-                pc.h_pole(pc.point(x, t), ctx)
-                if ctx.is_upper
-                else pc.h_tilde(pc.point(x, t), ctx)
-            )
+        def weight(xs, ts):
+            return np.exp(log_pole_weight(xs, ts, ctx))
 
-        def u_quad(x, t):
-            return (float(np.sum((x - g) ** 2)) + 2.0 * ctx.dim * t) / weight(x, t)
+        def u_quad(xs, ts):
+            return (np.sum((xs - g) ** 2, axis=1) + 2.0 * ctx.dim * ts) / weight(xs, ts)
 
-        def u_mixed(x, t):
-            s = x[0] - g[0]
-            return (s * s + 2.0 * t + s) / weight(x, t)
+        def u_mixed(xs, ts):
+            s = xs[:, 0] - g[0]
+            return (s * s + 2.0 * ts + s) / weight(xs, ts)
 
         def center(t0, v):
             xc = g if ctx.is_upper else -2.0 * t0 * g
-            return v(xc, t0)
+            return float(v(xc[None, :], np.array([t0]))[0])
 
         return weight, u_quad, u_mixed, center
 
@@ -437,7 +433,7 @@ def test_criterion_7_averaging():
             ball = HeatBall(ctx, t0, 1.0)
             _, u_quad, u_mixed, center = weighted_caloric(ctx)
             for u, want in (
-                (lambda x, t: 1.0, 1.0),
+                (lambda xs, ts: 1.0, 1.0),
                 (u_quad, center(t0, u_quad)),
                 (u_mixed, center(t0, u_mixed)),
             ):
@@ -451,8 +447,8 @@ def test_criterion_7_averaging():
     for ctx in (pc.lower_context(1), pc.upper_context(1, [0.3])):
         t0 = default_time_center(ctx)
         ball = HeatBall(ctx, t0, 1.0)
-        u = lambda x, t: t
-        pp = phi_prime(u, 1.0, ball.center, ctx, hu_operator=lambda x, t: 1.0).value
+        u = lambda xs, ts: ts
+        pp = phi_prime(u, 1.0, ball.center, ctx, hu_operator=lambda xs, ts: 1.0).value
         h = 0.02
         fd = (
             phi(u, 1.0 + h, ball.center, ctx).value - phi(u, 1.0 - h, ball.center, ctx).value
@@ -469,8 +465,8 @@ def test_criterion_7_averaging():
         big = HeatBall(ctx, t0, 4.0)
         lo_t, _ = big.time_window
         src_t = 0.5 * lo_t if ctx.is_upper else lo_t - 1.0
-        src = pc.point(big.axis(np.array([src_t]))[0] + 0.2, src_t)
-        u = lambda x, t: pc.kernel_ratio(pc.point(x, t), src, ctx)
+        src_x = big.axis(np.array([src_t])) + 0.2
+        u = lambda xs, ts: pc.kernel_ratio_matrix(xs, ts, src_x, [src_t], ctx)[:, 0]
         ratios = [harnack_check(u, ball.center, c, ctx).ratio for c in (0.5, 1.0, 2.0)]
         assert all(np.isfinite(r) and 0 < r <= 50.0 for r in ratios)
         assert max(ratios) <= 5.0 * min(ratios)

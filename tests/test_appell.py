@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import parcap as pc
 from parcap.appell import AppellDirection as D
-from parcap.kernel import DomainError
+from parcap.kernel import DomainError, log_heat_kernel, log_pole_weight
 from parcap.measures import DiscreteMeasure
 from parcap.capacity import potential_batch
 
@@ -54,27 +54,32 @@ def test_transform_of_pole_function_is_drift_exponential():
         g = rng.normal(size=dim)
         up = pc.upper_context(dim, g)
         lo = up.mirror()
-        h_up = lambda x, t: pc.h_pole(pc.point(x, t), up)
+        h_up = lambda xs, ts: np.exp(log_pole_weight(xs, ts, up))
         Ah = pc.appell_transform(h_up, D.FORWARD)
-        for _ in range(200):
-            x = rng.normal(size=dim)
-            t = -rng.uniform(0.02, 4.0)
-            expected = pc.h_tilde(pc.point(x, t), lo)
-            assert abs(Ah(x, t) - expected) <= 1e-10 * expected
+        draws = [(rng.normal(size=dim), -rng.uniform(0.02, 4.0)) for _ in range(200)]
+        xs = np.array([x for x, _ in draws])
+        ts = np.array([t for _, t in draws])
+        expected = np.exp(log_pole_weight(xs, ts, lo))
+        assert np.all(np.abs(Ah(xs, ts) - expected) <= 1e-10 * expected)
 
 
 def test_backward_transform_of_one_is_kernel():
-    v = pc.appell_transform(lambda x, t: 1.0, D.BACKWARD)
+    v = pc.appell_transform(lambda xs, ts: 1.0, D.BACKWARD)
     z = pc.point([0.4, 0.1], 0.9)
-    assert v(z.x, z.t) == pytest.approx(
+    assert v(z.x[None, :], np.array([z.t]))[0] == pytest.approx(
         pc.heat_kernel(z, pc.point([0.0, 0.0], 0.0)), rel=1e-14
     )
 
 
 def test_transform_domain_errors():
-    v = pc.appell_transform(lambda x, t: 1.0, D.FORWARD)
+    v = pc.appell_transform(lambda xs, ts: 1.0, D.FORWARD)
     with pytest.raises(DomainError):
-        v(np.array([0.0]), 0.5)
+        v(np.array([[0.0]]), np.array([0.5]))
+
+
+def kernel_from(w):
+    """The field F(. - w) of a source w."""
+    return lambda xs, ts: np.exp(log_heat_kernel(np.sum((xs - w.x) ** 2, axis=1), ts - w.t, w.dim))
 
 
 def test_kernel_transport_forward():
@@ -86,8 +91,7 @@ def test_kernel_transport_forward():
         wt = pc.appell_map(w, D.FORWARD)
         x = rng.normal(size=dim)
         t = wt.t - rng.uniform(0.05, 1.5)
-        Fw = lambda xx, tt: pc.heat_kernel(pc.point(xx, tt), w)
-        got = pc.appell_transform(Fw, D.FORWARD)(x, t)
+        got = pc.appell_transform(kernel_from(w), D.FORWARD)(x[None, :], np.array([t]))[0]
         pre = (-4.0 * np.pi * wt.t) ** (0.5 * dim) * np.exp(
             -np.dot(wt.x, wt.x) / (4.0 * wt.t)
         )
@@ -105,15 +109,14 @@ def test_kernel_transport_backward():
         t = wt.t * (1.0 - rng.uniform(0.1, 0.8))
         if t <= 0 or t >= wt.t:
             continue
-        Fw = lambda xx, tt: pc.heat_kernel(pc.point(xx, tt), w)
-        got = pc.appell_transform(Fw, D.BACKWARD)(x, t)
+        got = pc.appell_transform(kernel_from(w), D.BACKWARD)(x[None, :], np.array([t]))[0]
         pre = (wt.t / np.pi) ** (0.5 * dim) * np.exp(-np.dot(wt.x, wt.x) / (4.0 * wt.t))
         want = pre * pc.heat_kernel(pc.point(x, t), wt)
         assert abs(got - want) <= 1e-10 * max(want, 1e-290)
 
 
 def test_transform_preserves_caloricity():
-    u = lambda x, t: x[0] ** 4 + 12 * x[0] ** 2 * t + 12 * t**2
+    u = lambda xs, ts: xs[:, 0] ** 4 + 12 * xs[:, 0] ** 2 * ts + 12 * ts**2
     Au = pc.appell_transform(u, D.FORWARD)
     z = pc.point([0.3, -0.4], -0.6)
     r_coarse = abs(pc.heat_operator_fd(Au, z, step=4e-3, richardson=False))
@@ -171,10 +174,10 @@ def test_operator_transfer_identity(direction):
 
     # constant field: both sides vanish (the weights are caloric)
     z = pc.point(rng.normal(size=dim) * 0.3, tsign * 0.8)
-    res = pc.verify_h_identities(lambda x, t: 1.0, z, ctx, step=3e-3, direction=direction)
+    res = pc.verify_h_identities(lambda xs, ts: 1.0, z, ctx, step=3e-3, direction=direction)
     assert abs(res.lhs) < 1e-6 and abs(res.rhs) < 1e-6
 
-    for u in (lambda x, t: t, lambda x, t: float(x[0])):
+    for u in (lambda xs, ts: ts, lambda xs, ts: xs[:, 0]):
         z = pc.point(rng.normal(size=dim) * 0.3, tsign * 0.7)
         r1 = pc.verify_h_identities(u, z, ctx, step=8e-3, direction=direction)
         r2 = pc.verify_h_identities(u, z, ctx, step=4e-3, direction=direction)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import parcap as pc
+from parcap.appell import appell_map_arrays
 from parcap.averaging import (
     GapResult,
     PreconditionError,
@@ -15,7 +16,7 @@ from parcap.averaging import (
     subparabolic_gap,
 )
 from parcap.geometry import HeatBall
-from parcap.kernel import DomainError
+from parcap.kernel import DomainError, log_pole_weight
 
 # exact values derived by hand for the lower half-space with gamma = 0, N = 1:
 # the raw rho^2 / (t - t0)^2 ball integral of 1 is 8 sqrt(pi c), and for the
@@ -24,62 +25,46 @@ RAW_CONST = lambda c: 8.0 * np.sqrt(np.pi * c)
 PHI_SLOPE = -8.0 * np.sqrt(np.pi) / 3.0**2.5
 
 
+def _over_weight(ctx, v):
+    """u = v / weight with its center value, for a caloric polynomial v."""
+    g = ctx.gamma
+
+    def u(xs, ts):
+        return v(xs, ts) / np.exp(log_pole_weight(xs, ts, ctx))
+
+    def center_value(t0):
+        xc = g if ctx.is_upper else -2.0 * t0 * g
+        return float(u(xc[None, :], np.array([t0]))[0])
+
+    return u, center_value
+
+
 def caloric_over_weight(ctx):
     """Pole-weighted caloric test field with a closed-form center value."""
     g = ctx.gamma
-
-    def weight(x, t):
-        if ctx.is_upper:
-            return pc.h_pole(pc.point(x, t), ctx)
-        return pc.h_tilde(pc.point(x, t), ctx)
-
-    def v(x, t):
-        return float(np.sum((x - g) ** 2)) + 2.0 * ctx.dim * t
-
-    def u(x, t):
-        return v(x, t) / weight(x, t)
-
-    def center_value(t0):
-        xc = g if ctx.is_upper else -2.0 * t0 * g
-        return v(xc, t0) / weight(xc, t0)
-
-    return u, center_value
+    return _over_weight(ctx, lambda xs, ts: np.sum((xs - g) ** 2, axis=1) + 2.0 * ctx.dim * ts)
 
 
 def caloric_mixed(ctx):
-    g = ctx.gamma
+    def v(xs, ts):
+        s = xs[:, 0] - ctx.gamma[0]
+        return s * s + 2.0 * ts + s
 
-    def weight(x, t):
-        if ctx.is_upper:
-            return pc.h_pole(pc.point(x, t), ctx)
-        return pc.h_tilde(pc.point(x, t), ctx)
-
-    def v(x, t):
-        s = x[0] - g[0]
-        return s * s + 2.0 * t + s
-
-    def u(x, t):
-        return v(x, t) / weight(x, t)
-
-    def center_value(t0):
-        xc = g if ctx.is_upper else -2.0 * t0 * g
-        return v(xc, t0) / weight(xc, t0)
-
-    return u, center_value
+    return _over_weight(ctx, v)
 
 
 def test_raw_ball_integral_against_closed_form():
     lo = pc.lower_context(1)
     for c in (0.7, 1.0, 2.3):
         ball = HeatBall(lo, -0.25, c)
-        raw = _rho_weight_raw(lambda x, t: 1.0, ball, QuadratureSpec())
+        raw = _rho_weight_raw(lambda xs, ts: 1.0, ball, QuadratureSpec())
         assert raw == pytest.approx(RAW_CONST(c), rel=1e-3)
 
 
 def test_phi_of_zero_field():
     lo = pc.lower_context(1)
     ball = HeatBall(lo, -0.25, 1.0)
-    res = phi(lambda x, t: 0.0, 1.0, ball.center, lo)
+    res = phi(lambda xs, ts: 0.0, 1.0, ball.center, lo)
     assert res.value == 0.0 and res.error_estimate == 0.0
 
 
@@ -95,10 +80,10 @@ def test_phi_constant_in_scale_for_weighted_caloric_field():
 def test_phi_linear_fixture_and_derivative():
     lo = pc.lower_context(1)
     ball = HeatBall(lo, -0.25, 1.0)
-    u = lambda x, t: t - (-0.25)
+    u = lambda xs, ts: ts - (-0.25)
     for c in (0.5, 1.0):
         assert phi(u, c, ball.center, lo).value == pytest.approx(PHI_SLOPE * c, rel=1e-4)
-    pp = phi_prime(u, 1.0, ball.center, lo, hu_operator=lambda x, t: 1.0)
+    pp = phi_prime(u, 1.0, ball.center, lo, hu_operator=lambda xs, ts: 1.0)
     assert pp.value == pytest.approx(PHI_SLOPE, rel=1e-6)
     ppf = phi_prime(u, 1.0, ball.center, lo)  # finite-difference operator probe
     assert ppf.value == pytest.approx(PHI_SLOPE, rel=1e-6)
@@ -108,8 +93,8 @@ def test_phi_prime_matches_scale_difference_quotient():
     for ctx in (pc.lower_context(1), pc.upper_context(1, [0.3])):
         t0 = -0.25 if not ctx.is_upper else 1.0
         ball = HeatBall(ctx, t0, 1.0)
-        u = lambda x, t: t
-        pp = phi_prime(u, 1.0, ball.center, ctx, hu_operator=lambda x, t: 1.0)
+        u = lambda xs, ts: ts
+        pp = phi_prime(u, 1.0, ball.center, ctx, hu_operator=lambda xs, ts: 1.0)
         h = 0.02
         fd = (
             phi(u, 1.0 + h, ball.center, ctx).value
@@ -121,7 +106,7 @@ def test_phi_prime_matches_scale_difference_quotient():
 def test_phi_prime_vanishes_for_weighted_caloric_field():
     up = pc.upper_context(1, [0.2])
     ball = HeatBall(up, 1.0, 1.0)
-    res = phi_prime(lambda x, t: 1.0, 1.0, ball.center, up)
+    res = phi_prime(lambda xs, ts: 1.0, 1.0, ball.center, up)
     assert abs(res.value) < 1e-6
 
 
@@ -131,7 +116,7 @@ def test_mean_value_identity(side, gamma):
     ctx = pc.upper_context(1, [gamma]) if side == "upper" else pc.lower_context(1, [gamma])
     t0 = 1.0 if side == "upper" else -0.25
     ball = HeatBall(ctx, t0, 1.0)
-    fixtures = [(lambda x, t: 1.0, lambda _: 1.0), caloric_over_weight(ctx), caloric_mixed(ctx)]
+    fixtures = [(lambda xs, ts: 1.0, lambda _: 1.0), caloric_over_weight(ctx), caloric_mixed(ctx)]
     for u, center_value in fixtures:
         got = mean_value(u, ball.center, 1.0, ctx)
         want = center_value(t0)
@@ -141,7 +126,7 @@ def test_mean_value_identity(side, gamma):
 def test_mean_value_rejects_off_axis_center():
     up = pc.upper_context(1, [0.0])
     with pytest.raises(DomainError):
-        mean_value(lambda x, t: 1.0, pc.point([0.5], 1.0), 1.0, up)
+        mean_value(lambda xs, ts: 1.0, pc.point([0.5], 1.0), 1.0, up)
 
 
 def test_quadrature_error_raises_with_partial_value():
@@ -149,7 +134,7 @@ def test_quadrature_error_raises_with_partial_value():
     ball = HeatBall(lo, -0.25, 1.0)
     spec = QuadratureSpec(tol=1e-14)
     with pytest.raises(QuadratureError) as err:
-        mean_value(lambda x, t: 1.0, ball.center, 1.0, lo, quad=spec)
+        mean_value(lambda xs, ts: 1.0, ball.center, 1.0, lo, quad=spec)
     assert err.value.partial == pytest.approx(RAW_CONST(1.0), rel=1e-3)
 
 
@@ -165,10 +150,10 @@ def test_subparabolic_gap_weighted_caloric_field_is_flat():
 def test_subparabolic_gap_strict_fixture_constant_stable():
     lo = pc.lower_context(1)
     ball = HeatBall(lo, -0.25, 1.0)
-    u = lambda x, t: -(t + 0.25)
+    u = lambda xs, ts: -(ts + 0.25)
     fitted = []
     for c in (0.25, 0.5, 1.0):
-        res = subparabolic_gap(u, c, ball.center, lo, hu_operator=lambda x, t: -1.0)
+        res = subparabolic_gap(u, c, ball.center, lo, hu_operator=lambda xs, ts: -1.0)
         assert res.lhs > 0.0 and res.rhs > 0.0
         fitted.append(res.fitted_constant)
     assert max(fitted) <= 10.0 * min(fitted)
@@ -186,23 +171,25 @@ def test_subparabolic_gap_bump_potential_fixture():
 
     def psi(tau):  # smooth normalized bump in time
         s = (tau - tau_a) / (tau_b - tau_a)
-        return 0.0 if s <= 0 or s >= 1 else np.exp(-1.0 / (s * (1 - s))) * np.exp(4.0)
+        inside = (s > 0) & (s < 1)
+        out = np.zeros(s.shape)
+        si = s[inside]
+        out[inside] = np.exp(-1.0 / (si * (1 - si))) * np.exp(4.0)
+        return out
 
     qs = tau_a + (np.arange(48) + 0.5) * (tau_b - tau_a) / 48.0
     wq = np.full(qs.shape, (tau_b - tau_a) / 48.0)
-    psi_total = float(np.sum(np.array([psi(q) for q in qs]) * wq))
+    psi_total = float(np.sum(psi(qs) * wq))
 
-    def u(x, t):  # exact spatial convolution leaves a smooth time integral
-        acc = 0.0
-        for q, w in zip(qs, wq):
-            if t - q <= 0:
-                continue
-            var = sigma**2 + 2.0 * (t - q)
-            acc += w * psi(q) * np.exp(-x[0] ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
-        return -acc
+    def u(xs, ts):  # exact spatial convolution leaves a smooth time integral
+        lag = ts[:, None] - qs[None, :]
+        live = lag > 0
+        var = sigma**2 + 2.0 * np.where(live, lag, 0.0)
+        terms = wq * psi(qs) * np.exp(-xs[:, :1] ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        return -np.sum(np.where(live, terms, 0.0), axis=1)
 
-    def hu_op(x, t):  # minus the bump density
-        return -psi(t) * np.exp(-x[0] ** 2 / (2 * sigma**2)) / np.sqrt(2 * np.pi * sigma**2)
+    def hu_op(xs, ts):  # minus the bump density
+        return -psi(ts) * np.exp(-xs[:, 0] ** 2 / (2 * sigma**2)) / np.sqrt(2 * np.pi * sigma**2)
 
     res = subparabolic_gap(u, c, ball.center, lo, hu_operator=hu_op)
     assert res.lhs > 0.0 and res.rhs > 0.0
@@ -214,7 +201,7 @@ def test_subparabolic_gap_bump_potential_fixture():
     half = HeatBall(lo, t0, 0.5 * c)
     taus = np.linspace(tau_a, tau_b, 4001)
     radii = half.radius(taus)
-    vals = np.array([psi(q) for q in taus]) * erf(radii / (sigma * np.sqrt(2.0)))
+    vals = psi(taus) * erf(radii / (sigma * np.sqrt(2.0)))
     oracle = float(np.trapezoid(vals, taus)) / np.sqrt(c)
     assert res.rhs == pytest.approx(oracle, rel=0.05)
     assert res.rhs <= psi_total / np.sqrt(c) * 1.001
@@ -225,7 +212,7 @@ def test_subparabolic_gap_precondition():
     lo = pc.lower_context(1)
     ball = HeatBall(lo, -0.25, 0.5)
     with pytest.raises(PreconditionError) as err:
-        subparabolic_gap(lambda x, t: (t + 0.25), 0.5, ball.center, lo)
+        subparabolic_gap(lambda xs, ts: (ts + 0.25), 0.5, ball.center, lo)
     assert err.value.where.t < -0.25
 
 
@@ -233,7 +220,7 @@ def test_harnack_constant_field_and_sources():
     for ctx in (pc.lower_context(1), pc.upper_context(1, [0.4])):
         t0 = -0.25 if not ctx.is_upper else 1.0
         ball = HeatBall(ctx, t0, 1.0)
-        res = harnack_check(lambda x, t: 1.0, ball.center, 1.0, ctx)
+        res = harnack_check(lambda xs, ts: 1.0, ball.center, 1.0, ctx)
         assert res.average == pytest.approx(1.0, rel=1e-12)
         assert res.infimum == pytest.approx(1.0, rel=1e-12)
         assert res.ratio == pytest.approx(1.0, rel=1e-12)
@@ -244,8 +231,7 @@ def test_harnack_constant_field_and_sources():
             lo_t, _ = big.time_window
             src_t = 0.5 * lo_t if ctx.is_upper else lo_t - 1.0
             src_x = big.axis(np.array([src_t]))[0] + 0.2
-            src = pc.point(src_x, src_t)
-            u = lambda x, t: pc.kernel_ratio(pc.point(x, t), src, ctx)
+            u = lambda xs, ts: pc.kernel_ratio_matrix(xs, ts, src_x[None, :], [src_t], ctx)[:, 0]
             r = harnack_check(u, ball.center, c, ctx)
             assert np.isfinite(r.ratio) and r.ratio > 0
             ratios.append(r.ratio)
@@ -257,7 +243,7 @@ def test_harnack_negative_field_rejected():
     lo = pc.lower_context(1)
     ball = HeatBall(lo, -0.25, 1.0)
     with pytest.raises(PreconditionError):
-        harnack_check(lambda x, t: -1.0, ball.center, 1.0, lo)
+        harnack_check(lambda xs, ts: -1.0, ball.center, 1.0, lo)
 
 
 def test_scale_functional_transports_across_halfspaces():
@@ -265,14 +251,39 @@ def test_scale_functional_transports_across_halfspaces():
     # image ball: quadrature-level covariance of the construction
     up = pc.upper_context(1, [0.6])
     lo = up.mirror()
-    u_up = lambda x, t: float(x[0]) + t  # any smooth field on the upper side
+    u_up = lambda xs, ts: xs[:, 0] + ts  # any smooth field on the upper side
     ball_up = HeatBall(up, 1.0, 1.0)
     ball_lo = ball_up.appell_image()
 
-    def u_pulled(x, t):
-        z = pc.appell_map(pc.point(x, t), pc.AppellDirection.BACKWARD)
-        return u_up(z.x, z.t)
+    def u_pulled(xs, ts):
+        return u_up(*appell_map_arrays(xs, ts, pc.AppellDirection.BACKWARD))
 
     a = phi(u_up, 1.0, ball_up.center, up).value
     b = phi(u_pulled, 1.0, ball_lo.center, lo).value
     assert a == pytest.approx(b, rel=2e-3)
+
+
+def test_mean_value_makes_one_field_call_per_time_segment():
+    lo = pc.lower_context(1, [0.5])
+    ball = HeatBall(lo, -0.25, 1.0)
+    u, center_value = caloric_over_weight(lo)
+    sizes = []
+
+    def counted(xs, ts):
+        sizes.append(ts.shape[0])
+        return u(xs, ts)
+
+    got = mean_value(counted, ball.center, 1.0, lo)
+    want = center_value(-0.25)
+    assert abs(got - want) <= 1e-3 * (1.0 + abs(want))
+    # one call per time segment of the two passes, plus each pass's cap base
+    assert len(sizes) <= 100
+    assert max(sizes) > 1
+
+
+def test_field_of_wrong_shape_raises():
+    lo = pc.lower_context(1)
+    ball = HeatBall(lo, -0.25, 1.0)
+    # a scalar-style field: x[0] is the first row of xs, shape (1,)
+    with pytest.raises(ValueError, match="shape"):
+        mean_value(lambda x, t: x[0], ball.center, 1.0, lo)

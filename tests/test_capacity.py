@@ -243,9 +243,8 @@ def test_smoothed_reduction_profile():
     # weight * potential is annihilated by the heat operator off the support
     mu = res.capacitary
 
-    def f(x, t):
-        w = float(np.exp(log_pole_weight(np.atleast_2d(x), np.array([t]), lo)[0]))
-        return w * potential_batch(mu, np.atleast_2d(x), np.array([t]), lo)[0]
+    def f(xs, ts):
+        return np.exp(log_pole_weight(xs, ts, lo)) * potential_batch(mu, xs, ts, lo)
 
     zup = pc.point([0.1], hi_t + 0.3)
     r_coarse = abs(pc.heat_operator_fd(f, zup, step=2e-2, richardson=False))

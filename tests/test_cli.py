@@ -1,8 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import parcap.cli as cli
+from parcap.appell import IdentityResidual
+from parcap.capacity import CapacityResult
+from parcap.geometry import Resolution
+from parcap.measures import DiscreteMeasure
 from parcap.cli import main
 
 
@@ -83,23 +89,59 @@ def test_emit_selector(tmp_path):
     assert not (out / "series_table.csv").exists()
 
 
+CAPACITY_CFG = {
+    "context": {"dim": 1, "gamma": [0.0], "half_space": "lower"},
+    "task": "capacity",
+    "seed": 1,
+    "parameters": {"shell": {"kind": "dyadic", "n": 0}, "levels": [0, 1]},
+}
+
+
 def test_capacity_task(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "context": {"dim": 1, "gamma": [0.0], "half_space": "lower"},
-            "task": "capacity",
-            "seed": 1,
-            "parameters": {"shell": {"kind": "dyadic", "n": 0}, "levels": [0, 1]},
-        },
-    )
+    cfg = write_config(tmp_path, CAPACITY_CFG)
     out = tmp_path / "cap"
-    assert run(["run", cfg, "--out", out]) == 0
+    status = run(["run", cfg, "--out", out])
     report = json.loads((out / "capacity_report.json").read_text())
+    # exit 2 marks a measure that fails its own probe certificate; at levels
+    # [0, 1] this shell's probe maximum is 1.0024
+    certified = report["probe_max_potential"] <= 1.0 + report["tolerance"]
+    assert status == (0 if certified else 2)
     assert report["value"] > 0
     assert report["max_potential"] <= 1.0 + 1e-3
     rows = (out / "capacity_measure.csv").read_text().splitlines()
     assert rows[0] == "x1,t,mass"
+
+
+@pytest.mark.parametrize(
+    "max_pot, probe_max, converged, status",
+    [
+        (1.0, 1.0, False, 0),   # an unconverged but certified measure is a result
+        (1.0, 1.01, True, 2),   # fails the fresh-probe certificate
+        (1.01, 1.0, True, 2),   # fails the collocation certificate
+    ],
+)
+def test_capacity_exit_status_follows_certificates(
+    tmp_path, monkeypatch, max_pot, probe_max, converged, status
+):
+    def fake_capacity_of_region(compact, ctx, **kwargs):
+        return CapacityResult(
+            value=1.0,
+            capacitary=DiscreteMeasure(np.zeros((1, 1)), np.array([-1.0]), np.ones(1)),
+            max_potential=max_pot,
+            min_potential_on_nodes=1.0,
+            probe_max_potential=probe_max,
+            comp_slack_residual=0.0,
+            duality_gap=0.0,
+            resolution=Resolution(),
+            converged=converged,
+        )
+
+    monkeypatch.setattr(cli, "capacity_of_region", fake_capacity_of_region)
+    cfg = write_config(tmp_path, CAPACITY_CFG)
+    out = tmp_path / "cap"
+    assert run(["run", cfg, "--out", out]) == status
+    report = json.loads((out / "capacity_report.json").read_text())
+    assert report["probe_max_potential"] == probe_max
 
 
 def test_simulate_task_with_estimate(tmp_path):
@@ -170,3 +212,26 @@ def test_appell_check_task(tmp_path):
     assert run(["run", cfg, "--out", out]) == 0
     report = json.loads((out / "appell_check_report.json").read_text())
     assert report["all_passed"] is True
+
+
+def test_appell_check_fails_without_step_halving_decay(tmp_path, monkeypatch):
+    # residuals under the threshold that do not shrink as the step halves
+    monkeypatch.setattr(
+        cli, "verify_h_identities", lambda u, z, ctx, step: IdentityResidual(1e-6, 0.0)
+    )
+    cfg = write_config(
+        tmp_path,
+        {
+            "context": {"dim": 1, "gamma": [0.5], "half_space": "upper"},
+            "task": "appell-check",
+            "seed": 77,
+            "parameters": {"n_points": 200, "step": 5e-3},
+        },
+    )
+    out = tmp_path / "ap"
+    assert run(["run", cfg, "--out", out]) == 1
+    report = json.loads((out / "appell_check_report.json").read_text())
+    transfer = report["checks"][-1]
+    assert transfer["halving_ratio"] == 1.0
+    assert transfer["residual"] <= transfer["threshold"]
+    assert report["all_passed"] is False

@@ -210,11 +210,11 @@ def test_bridge_increment_exponent_identity():
 def test_heat_operator_fd_calibration():
     z = pc.point([0.4, -0.2], 0.9)
     # plainly caloric fields
-    f_kernel = lambda x, t: pc.heat_kernel(pc.point(x, t), pc.point([0.0, 0.0], 0.0))
+    f_kernel = lambda xs, ts: np.exp(pc.kernel.log_heat_kernel(np.sum(xs**2, axis=1), ts, 2))
     assert abs(pc.heat_operator_fd(f_kernel, z)) < 1e-8
-    f_poly = lambda x, t: float(np.dot(x, x)) + 2 * 2 * t
+    f_poly = lambda xs, ts: np.sum(xs**2, axis=1) + 2 * 2 * ts
     assert abs(pc.heat_operator_fd(f_poly, z)) < 1e-7
-    assert pc.heat_operator_fd(lambda x, t: t, z) == pytest.approx(1.0, abs=1e-10)
+    assert pc.heat_operator_fd(lambda xs, ts: ts, z) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_heat_operator_fd_pole_functions_are_caloric():
@@ -222,8 +222,8 @@ def test_heat_operator_fd_pole_functions_are_caloric():
     lo = up.mirror()
     zu = pc.point([0.5, -0.2], 0.7)
     zl = pc.point([0.5, -0.2], -0.7)
-    f_up = lambda x, t: pc.h_pole(pc.point(x, t), up)
-    f_lo = lambda x, t: pc.h_tilde(pc.point(x, t), lo)
+    f_up = lambda xs, ts: np.exp(pc.kernel.log_pole_weight(xs, ts, up))
+    f_lo = lambda xs, ts: np.exp(pc.kernel.log_pole_weight(xs, ts, lo))
     r_coarse = abs(pc.heat_operator_fd(f_up, zu, step=2e-2, richardson=False))
     r_fine = abs(pc.heat_operator_fd(f_up, zu, step=1e-2, richardson=False))
     assert r_fine < r_coarse and r_fine < 1e-4
@@ -234,7 +234,7 @@ def test_heat_operator_fd_pole_functions_are_caloric():
 
 def test_heat_operator_fd_second_order():
     # quartic heat polynomial: plain central differences decay like step^2
-    f = lambda x, t: x[0] ** 6
+    f = lambda xs, ts: xs[:, 0] ** 6
     z = pc.point([1.1], 0.5)
     e1 = abs(pc.heat_operator_fd(f, z, step=4e-2, richardson=False) + 30 * 1.1**4)
     e2 = abs(pc.heat_operator_fd(f, z, step=2e-2, richardson=False) + 30 * 1.1**4)
@@ -244,4 +244,4 @@ def test_heat_operator_fd_second_order():
 def test_heat_operator_fd_halfspace_guard():
     up = pc.upper_context(1)
     with pytest.raises(DomainError):
-        pc.heat_operator_fd(lambda x, t: t, pc.point([0.0], 1e-6), step=1e-3, ctx=up)
+        pc.heat_operator_fd(lambda xs, ts: ts, pc.point([0.0], 1e-6), step=1e-3, ctx=up)
