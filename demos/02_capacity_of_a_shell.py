@@ -15,7 +15,7 @@ from parcap.geometry import Resolution, discretize
 
 lo = pc.lower_context(1)
 shell = pc.dyadic_shell(lo, 2)
-compact = pc.shell_complement_intersection(None, shell)
+compact = pc.CompactSet(shell, None)
 
 print("shell time window:", shell.time_window)
 print("ratio levels     :", shell.levels)

@@ -65,7 +65,6 @@ from .geometry import (
     dyadic_shell,
     harnack_region,
     level_shell,
-    shell_complement_intersection,
 )
 from .capacity import (
     CapacityResult,

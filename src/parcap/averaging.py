@@ -374,11 +374,9 @@ def _sample_ball_points(ball: HeatBall, n_time=10, n_radial=4):
     lo, hi = ball.time_window
     dirs, _ = sphere_directions(ball.dim, Resolution(base_angular=8, base_polar=4))
     fr = (np.arange(n_time) + 0.5) / n_time
-    if ball.ctx.is_upper:
-        s_lo, s_hi = -1.0 / (4.0 * lo), -1.0 / (4.0 * hi)
-        ts = -1.0 / (4.0 * (s_lo + fr * (s_hi - s_lo)))
-    else:
-        ts = lo + fr * (hi - lo)
+    native = ball.ctx.native_time
+    s_lo, s_hi = native(lo), native(hi)
+    ts = native(s_lo + fr * (s_hi - s_lo))
     R = ball.radius(ts)
     ts, R = ts[R > 0], R[R > 0]
     rfrac = (np.arange(n_radial) + 0.5) / n_radial
@@ -467,11 +465,10 @@ def harnack_check(
     if ctx.is_upper:
         t_s = t0 / (1.0 + 6.0 * c * t0)
         r_s = math.sqrt(3.0 * N * c) * t0 / (1.0 + 6.0 * c * t0)
-        slice_center = ctx.gamma
     else:
         t_s = t0 - 1.5 * c
         r_s = 0.5 * math.sqrt(3.0 * N * c)
-        slice_center = -2.0 * t_s * ctx.gamma
+    slice_center = ctx.axis([t_s])[0]
 
     dirs, wdir = sphere_directions(
         N, Resolution(base_angular=quad.angular_points, base_polar=quad.polar_points)

@@ -106,18 +106,6 @@ class Collocation:
         return self.ts.shape[0]
 
 
-def _peak_positions(xs, ts, new_ts, ctx: PoleContext) -> np.ndarray:
-    """Where the kernel from a mass at (x, t) peaks at the later time new_t.
-
-    Below, the peak drifts along -2 (new_t - t) gamma; above, it continues
-    the bridge line through the pole, scaling x - gamma by new_t / t.
-    """
-    g = ctx.gamma
-    if ctx.is_upper:
-        return g + (xs - g) * (new_ts / ts)[:, None]
-    return xs - 2.0 * (new_ts - ts)[:, None] * g
-
-
 def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
     """Nodes, their forward guards, and a halo slab above the set.
 
@@ -126,14 +114,10 @@ def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
     meant to cap."""
     xs, ts = cloud.xs, cloud.ts
     guard_ts = ts + 0.5 * cloud.cell_dts
-    guard_xs = _peak_positions(xs, ts, guard_ts, ctx)
+    guard_xs = ctx.carry(xs, ts, guard_ts)
 
     # lateral companions at half a radial cell tame the wiggle between guards
-    if ctx.is_upper:
-        axes = np.broadcast_to(ctx.gamma, xs.shape)
-    else:
-        axes = -2.0 * ts[:, None] * ctx.gamma
-    rad = xs - axes
+    rad = xs - ctx.axis(ts)
     rn = np.linalg.norm(rad, axis=1, keepdims=True)
     e_rad = np.where(rn > 1e-300, rad / np.maximum(rn, 1e-300), 0.0)
     if np.any(rn <= 1e-300):
@@ -160,9 +144,8 @@ def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
     if halo_ts:
         step = max(1, len(cloud) // 40)
         for tt in halo_ts:
-            sub_x = _peak_positions(xs[::step], ts[::step], np.full(xs[::step].shape[0], tt), ctx)
-            axis_pt = ctx.gamma if ctx.is_upper else -2.0 * tt * ctx.gamma
-            parts_x.append(np.concatenate([sub_x, axis_pt[None, :]], axis=0))
+            sub_x = ctx.carry(xs[::step], ts[::step], tt)
+            parts_x.append(np.concatenate([sub_x, ctx.axis([tt])], axis=0))
             parts_t.append(np.full(sub_x.shape[0] + 1, tt))
 
     cx = np.concatenate(parts_x, axis=0)
@@ -171,11 +154,13 @@ def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
     return Collocation(cx[keep], ct[keep])
 
 
-def _probe_points(
-    cloud: NodeCloud, coll: Collocation, ctx: PoleContext, factor: int, seed: int
-):
+# probe points per collocation row
+PROBE_FACTOR = 4
+
+
+def _probe_points(cloud: NodeCloud, coll: Collocation, ctx: PoleContext, seed: int):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    n = factor * len(coll)
+    n = PROBE_FACTOR * len(coll)
     idx = np.arange(n) % len(cloud)
     # standoff stays at the guard distance from every node below: an atomic
     # cell-aggregated mass has an unbounded potential at vanishing distance,
@@ -183,7 +168,7 @@ def _probe_points(
     # between and beyond the guard points
     jt = rng.uniform(0.5, 0.95, n)
     ts = cloud.ts[idx] + jt * cloud.cell_dts[idx]
-    base = _peak_positions(cloud.xs[idx], cloud.ts[idx], ts, ctx)
+    base = ctx.carry(cloud.xs[idx], cloud.ts[idx], ts)
     ray = _unit_rays(rng, n, cloud.dim)
     jr = rng.uniform(-1.0, 1.0, n)
     xs = base + (jr * cloud.cell_drs[idx])[:, None] * ray
@@ -198,7 +183,7 @@ def _probe_points(
         tt = t_top + mult * d
         if bool(ctx.admits(tt)):
             pick = rng.integers(0, len(cloud), m)
-            exx = _peak_positions(cloud.xs[pick], cloud.ts[pick], np.full(m, tt), ctx) + (
+            exx = ctx.carry(cloud.xs[pick], cloud.ts[pick], tt) + (
                 rng.uniform(-1.0, 1.0, m) * cloud.cell_drs[pick]
             )[:, None] * _unit_rays(rng, m, cloud.dim)
             extra_x.append(exx)
@@ -218,12 +203,8 @@ def _unit_rays(rng, n, dim):
 def capacity(
     cloud: NodeCloud,
     ctx: PoleContext,
-    tol: float = 1e-3,
     collocation: Optional[Collocation] = None,
-    probe_factor: int = 4,
     probe_seed: int = 74321,
-    converged: bool = True,
-    history: tuple = (),
 ) -> CapacityResult:
     """Solve the packing program for one node cloud.
 
@@ -240,8 +221,7 @@ def capacity(
             comp_slack_residual=0.0,
             duality_gap=0.0,
             resolution=cloud.resolution,
-            converged=converged,
-            history=history,
+            converged=True,
             diagnostics={"n_nodes": 0, "n_candidates": cloud.n_candidates},
         )
 
@@ -302,7 +282,7 @@ def capacity(
     ) / scale
     gap = abs(dual_value - value) / scale
 
-    px, pt = _probe_points(cloud, coll, ctx, probe_factor, probe_seed)
+    px, pt = _probe_points(cloud, coll, ctx, probe_seed)
     probe_max = float(np.max(potential_batch(mu, px, pt, ctx))) if pt.size else 0.0
 
     return CapacityResult(
@@ -314,8 +294,7 @@ def capacity(
         comp_slack_residual=comp_slack,
         duality_gap=gap,
         resolution=cloud.resolution,
-        converged=converged,
-        history=history,
+        converged=True,
         diagnostics={
             "n_nodes": len(cloud),
             "n_collocation": len(coll),
@@ -351,14 +330,14 @@ def capacity_of_region(
         if cloud.is_empty:
             empty_streak += 1
             history.append((lv, 0.0))
-            last = capacity(cloud, ctx, tol=tol, probe_seed=probe_seed,
-                            converged=empty_streak >= 2, history=tuple(history))
+            last = replace(capacity(cloud, ctx, probe_seed=probe_seed),
+                           converged=empty_streak >= 2, history=tuple(history))
             if empty_streak >= 2:
                 return last
             continue
         empty_streak = 0
         try:
-            result = capacity(cloud, ctx, tol=tol, probe_seed=probe_seed)
+            result = capacity(cloud, ctx, probe_seed=probe_seed)
         except SolverFailure as exc:
             history.append((lv, exc.best_value))
             return CapacityResult(

@@ -14,13 +14,15 @@ levels of scales c and c/2 (together with the center point); the general
 level-shell variant sandwiches the ratio between lambda^(-n+1) and
 lambda^(-n).
 
+Cross-sections are centered on the context's pole axis (``PoleContext.axis``).
 Discretization covers a shell-and-region intersection with space-time cells:
-time cells uniform in the half-space's natural coordinate (tau itself below,
-the inverse coordinate -1/(4t) above, which is the image of a uniform grid
-under the half-space exchange map and is what keeps large shells resolvable
-near the pole), radial cells per slice across the shell band, and a direction
-grid on the sphere.  Emitted nodes are cell centers that pass the membership
+time cells uniform in the context's native time (``PoleContext.native_time``:
+tau itself below, -1/(4t) above, which is the image of a uniform grid under
+the half-space exchange map and is what keeps large shells resolvable near
+the pole), radial cells per slice across the shell band, and a direction grid
+on the sphere.  Emitted nodes are cell centers that pass the membership
 predicate, ordered lexicographically in (time cell, radial cell, direction).
+A ``CompactSet`` takes its context from its shell.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "Resolution",
     "NodeCloud",
     "CompactSet",
-    "shell_complement_intersection",
     "discretize",
     "sphere_directions",
     "default_time_center",
@@ -75,10 +76,7 @@ class HeatBall:
 
     @property
     def center(self) -> SpaceTimePoint:
-        g = self.ctx.gamma
-        if self.ctx.is_upper:
-            return point(g, self.time_center)
-        return point(-2.0 * self.time_center * g, self.time_center)
+        return point(self.axis([self.time_center])[0], self.time_center)
 
     @property
     def level(self) -> float:
@@ -93,11 +91,7 @@ class HeatBall:
 
     def axis(self, ts) -> np.ndarray:
         """Cross-section centers at the given times, shape (M, N)."""
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        g = self.ctx.gamma
-        if self.ctx.is_upper:
-            return np.broadcast_to(g, (ts.shape[0], self.dim)).copy()
-        return -2.0 * ts[:, None] * g
+        return self.ctx.axis(ts)
 
     def radius_sq(self, ts) -> np.ndarray:
         """Squared cross-section radius; zero at and outside the window ends."""
@@ -378,11 +372,18 @@ class NodeCloud:
 
 @dataclass(frozen=True)
 class CompactSet:
-    """A shell (or ball) intersected with a complement-set description."""
+    """A shell (or ball) intersected with a complement-set description.
+
+    Pass region None (or a full region) for the bare shell; an empty region
+    yields the empty set.  The context is the shell's own.
+    """
 
     shell: HeatShell | HeatBall
     region: Optional[Region]
-    ctx: PoleContext
+
+    @property
+    def ctx(self) -> PoleContext:
+        return self.shell.ctx
 
     def contains(self, xs, ts) -> np.ndarray:
         mask = self.shell.contains(xs, ts)
@@ -391,25 +392,11 @@ class CompactSet:
         return mask
 
 
-def shell_complement_intersection(
-    region: Optional[Region], shell: HeatShell | HeatBall
-) -> CompactSet:
-    """Membership descriptor for (complement set) intersected with the shell.
-
-    Pass region None (or a full region) for the bare shell; an empty region
-    yields the empty set.
-    """
-    return CompactSet(shell, region, shell.ctx)
-
-
 def _time_edges(shell, n_time: int) -> np.ndarray:
-    """Cell edges in real time, uniform in the native coordinate."""
+    """Cell edges in real time, uniform in the native time coordinate."""
+    native = shell.ctx.native_time
     lo, hi = shell.time_window
-    if shell.ctx.is_upper:
-        s_lo, s_hi = -1.0 / (4.0 * lo), -1.0 / (4.0 * hi)
-        sig = np.linspace(s_lo, s_hi, n_time + 1)
-        return -1.0 / (4.0 * sig)
-    return np.linspace(lo, hi, n_time + 1)
+    return native(np.linspace(native(lo), native(hi), n_time + 1))
 
 
 def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
@@ -448,8 +435,7 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
         # radial measure of each annular cell: (r_hi^N - r_lo^N) / N
         r_meas = (r_edges[1:] ** N - r_edges[:-1] ** N) / N
-        axis = shell.outer.axis(np.array([t_mid]))[0] if isinstance(shell, HeatShell) \
-            else shell.axis(np.array([t_mid]))[0]
+        axis = ctx.axis([t_mid])[0]
 
         # candidate block: radial index varies slowest, then direction
         pts = axis[None, None, :] + r_mid[:, None, None] * dirs[None, :, :]

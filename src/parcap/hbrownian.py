@@ -122,12 +122,10 @@ def transition_parameters(
     ctx.require(t)
     ctx.require(next_t)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g = ctx.gamma
+    mean = ctx.carry(xs, t, next_t)
     if ctx.is_upper:
-        mean = g + (xs - g) * (next_t / t)
         var = 2.0 * next_t * (t - next_t) / t
     else:
-        mean = xs + 2.0 * g * (t - next_t)
         var = 2.0 * (t - next_t)
     return mean, float(np.sqrt(var))
 

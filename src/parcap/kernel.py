@@ -7,10 +7,17 @@ companion ``h_star`` solves the backward equation.  In the lower half-space
 (t < 0) the distinguished point is at infinity and the pole function is the
 drift exponential ``h_tilde`` with adjoint ``h_tilde_star``.
 
+The exchange (x, t) -> (x/2t, -1/4t) makes the upper setting the image of the
+lower one, so the split between the two is a change of coordinates kept in
+one place: ``PoleContext.axis`` (the pole axis), ``PoleContext.carry`` (the
+line along which the kernel from a point peaks at later times) and
+``PoleContext.native_time`` (-1/4t above, t below).  Every other module reads
+these instead of restating the split.
+
 The normalized ratio F(z - w) / (weight(z) * weight_star(w)) is the only
-kernel the capacity machinery consumes.  Both half-space variants admit an
-algebraically equivalent form with a single non-positive exponent, which is
-what the batch evaluators use: naive evaluation would subtract exponents of
+kernel the capacity machinery consumes.  It has one closed form, the plain
+heat kernel applied to offsets from the pole axis in lower coordinates, with
+a single non-positive exponent: naive evaluation would subtract exponents of
 order |gamma|^2 * |t| and lose everything to cancellation.
 
 All functions are pure; values are plain floats / ndarrays and safe to share
@@ -108,6 +115,34 @@ class PoleContext:
     def mirror(self) -> "PoleContext":
         other = HalfSpace.LOWER if self.is_upper else HalfSpace.UPPER
         return PoleContext(self.dim, np.array(self.gamma), other)
+
+    def axis(self, ts) -> np.ndarray:
+        """Pole-axis points at times ts, shape (M, N): gamma above, -2 t gamma
+        below.  Read-only above, where every row is gamma itself."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if self.is_upper:
+            return np.broadcast_to(self.gamma, (ts.shape[0], self.dim))
+        return -2.0 * ts[:, None] * self.gamma
+
+    def carry(self, xs, t, new_t) -> np.ndarray:
+        """Where the kernel from a mass at (x, t) peaks at the later time new_t.
+
+        Above, the peak continues the bridge line through the pole, scaling
+        x - gamma by new_t / t; below, it drifts along -2 (new_t - t) gamma.
+        Run to an earlier new_t, the same line is the mean of the conditioned
+        process.  Times broadcast against the rows of xs.
+        """
+        g = self.gamma
+        t = np.asarray(t, dtype=float)
+        new_t = np.asarray(new_t, dtype=float)
+        if self.is_upper:
+            return g + (xs - g) * (new_t / t)[..., None]
+        return xs - 2.0 * (new_t - t)[..., None] * g
+
+    def native_time(self, t):
+        """The time coordinate in which the half-space is the lower one:
+        -1/(4t) above, t itself below.  The map is its own inverse."""
+        return -1.0 / (4.0 * t) if self.is_upper else t
 
 
 def upper_context(dim: int, gamma=None) -> PoleContext:
@@ -259,13 +294,16 @@ def kernel_ratio_matrix(
 ) -> np.ndarray:
     """Matrix of F(z - w) / (weight(z) * weight_star(w)) over rows z, cols w.
 
-    Uses the cancellation-free closed forms.  Upper half-space:
+    One closed form, the plain heat kernel in lower coordinates: offsets
+    u = x - axis(t) from the pole axis and the gap dt give
 
-        (pi dt / (t tau))^(-N/2) * exp(-|tau (x-g) - t (y-g)|^2 / (4 t tau dt))
+        (4 pi dt)^(-N/2) * exp(-|u_z - u_w|^2 / (4 dt)).
 
-    Lower half-space:
-
-        (4 pi dt)^(-N/2) * exp(-|x - y + 2 dt gamma|^2 / (4 dt))
+    Above, the exchange map carries both points there first: offsets are
+    divided by 2t and the gap becomes dt / (4 t tau), taken from dt itself
+    rather than as a difference of the -1/(4t) coordinates, which would lose
+    digits between nearby rows.  Measuring offsets from the axis keeps the
+    squared distance free of the large |gamma|^2 |t| terms that cancel.
 
     Entries with t_z - t_w <= eps are exactly zero.
     """
@@ -273,8 +311,6 @@ def kernel_ratio_matrix(
     wx = np.atleast_2d(np.asarray(wx, dtype=float))
     zt = np.asarray(zt, dtype=float).reshape(-1)
     wt = np.asarray(wt, dtype=float).reshape(-1)
-    g = ctx.gamma
-    n = ctx.dim
 
     dt = zt[:, None] - wt[None, :]
     pos = dt > TIME_EPS
@@ -282,31 +318,21 @@ def kernel_ratio_matrix(
     if not np.any(pos):
         return out
 
+    uz = zx - ctx.axis(zt)  # (nz, N)
+    uw = wx - ctx.axis(wt)  # (nw, N)
+    gap = dt
     if ctx.is_upper:
-        az = zx - g  # (nz, N)
-        aw = wx - g  # (nw, N)
-        # |tau * az - t * aw|^2 expanded to avoid forming an (nz, nw, N) array
-        sq = (
-            (wt**2)[None, :] * np.sum(az**2, axis=1)[:, None]
-            - 2.0 * (zt[:, None] * wt[None, :]) * (az @ aw.T)
-            + (zt**2)[:, None] * np.sum(aw**2, axis=1)[None, :]
-        )
-        denom = 4.0 * zt[:, None] * wt[None, :] * dt
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = -0.5 * n * np.log(np.pi * dt / (zt[:, None] * wt[None, :])) - sq / denom
-    else:
-        sq = (
-            np.sum(zx**2, axis=1)[:, None]
-            - 2.0 * (zx @ wx.T)
-            + np.sum(wx**2, axis=1)[None, :]
-        )
-        drift = zx @ g
-        drift_w = wx @ g
-        gg = float(np.dot(g, g))
-        # |x - y + 2 dt g|^2 = |x - y|^2 + 4 dt <x - y, g> + 4 dt^2 |g|^2
-        sq_adj = sq + 4.0 * dt * (drift[:, None] - drift_w[None, :]) + 4.0 * dt**2 * gg
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = -0.5 * n * np.log(4.0 * np.pi * dt) - sq_adj / (4.0 * dt)
+        uz = uz / (2.0 * zt[:, None])
+        uw = uw / (2.0 * wt[:, None])
+        gap = dt / (4.0 * zt[:, None] * wt[None, :])
+    # |uz - uw|^2 expanded to avoid forming an (nz, nw, N) array
+    sq = (
+        np.sum(uz**2, axis=1)[:, None]
+        - 2.0 * (uz @ uw.T)
+        + np.sum(uw**2, axis=1)[None, :]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = -0.5 * ctx.dim * np.log(4.0 * np.pi * gap) - sq / (4.0 * gap)
 
     log_r = np.where(pos, log_r, -np.inf)
     with np.errstate(under="ignore"):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import DomainError, PoleContext
+from .kernel import DomainError, HalfSpace, PoleContext
 
 __all__ = [
     "Region",
@@ -244,9 +244,10 @@ class Tube(Region):
         self.axis = axis
 
     def _axis_points(self, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:
-        if self.axis == "pole":
-            return np.broadcast_to(ctx.gamma, (ts.shape[0], ctx.dim))
-        return -2.0 * ts[:, None] * ctx.gamma
+        # the pole line is the upper half-space's axis, the drift line the
+        # lower's, whichever half-space the tube is tested in
+        side = HalfSpace.UPPER if self.axis == "pole" else HalfSpace.LOWER
+        return PoleContext(ctx.dim, ctx.gamma, side).axis(ts)
 
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)

@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import capacity_of_region
-from .geometry import (
-    Resolution,
-    dyadic_shell,
-    level_shell,
-    shell_complement_intersection,
-)
+from .geometry import CompactSet, Resolution, dyadic_shell, level_shell
 from .kernel import PoleContext
 from .regions import Region
 
@@ -179,7 +174,7 @@ def _run_series(
     sums: list[float] = []
     total = 0.0
     for n, shell, weight in zip(ns, shells, weights):
-        compact = shell_complement_intersection(region, shell)
+        compact = CompactSet(shell, region)
         result = capacity_of_region(
             compact,
             ctx,

@@ -102,13 +102,13 @@ def test_criterion_2_appell_suite():
         w = pc.point(rng.normal(size=dim), rng.uniform(0.1, 2.0))
         wt = pc.appell_map(w, D.FORWARD)
         x = rng.normal(size=dim)
-        t = wt.t - rng.uniform(0.05, 1.5)
+        t = wt.t * rng.uniform(0.3, 0.9)  # after the image source
         Fw = lambda ys, ss: np.exp(log_heat_kernel(np.sum((ys - w.x) ** 2, axis=1), ss - w.t, dim))
         got = pc.appell_transform(Fw, D.FORWARD)(x[None, :], np.array([t]))[0]
         pre = (-4.0 * np.pi * wt.t) ** (0.5 * dim) * np.exp(-np.dot(wt.x, wt.x) / (4.0 * wt.t))
         want = pre * pc.heat_kernel(pc.point(x, t), wt)
-        if want > 1e-280:
-            worst_k = max(worst_k, abs(got - want) / want)
+        assert want > 0.0
+        worst_k = max(worst_k, abs(got - want) / want)
     assert worst_k <= 1e-10
 
     ratios = []
@@ -208,7 +208,7 @@ def test_criterion_4_capacity():
     for name, (n, reg) in family.items():
         t0 = time.perf_counter()
         res = capacity_of_region(
-            pc.shell_complement_intersection(reg, pc.dyadic_shell(lo, n)), lo, tol=tol
+            pc.CompactSet(pc.dyadic_shell(lo, n), reg), lo, tol=tol
         )
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
@@ -220,7 +220,7 @@ def test_criterion_4_capacity():
 
     # monotonicity and strong subadditivity at one shared discretization
     master = discretize(
-        pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 2)), Resolution(level=2)
+        pc.CompactSet(pc.dyadic_shell(lo, 2), None), Resolution(level=2)
     )
     coll = build_collocation(master, lo)
     regions = {k: v[1] for k, v in family.items() if v[1] is not None}
@@ -250,10 +250,10 @@ def test_criterion_4_capacity():
         for n in shells:
             t0 = time.perf_counter()
             vu = capacity_of_region(
-                pc.shell_complement_intersection(None, pc.dyadic_shell(up_d, n)), up_d, tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(up_d, n), None), up_d, tol=tol, **kwargs
             ).value
             vl = capacity_of_region(
-                pc.shell_complement_intersection(None, pc.dyadic_shell(lo_d, n)), lo_d, tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(lo_d, n), None), lo_d, tol=tol, **kwargs
             ).value
             assert time.perf_counter() - t0 < 120.0
             rel = abs(vu - vl) / vl

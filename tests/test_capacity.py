@@ -63,7 +63,7 @@ def test_singleton_mass_vanishes_under_refinement():
     for lv in (0, 1, 2):
         res_cell = Resolution(level=lv)
         base = discretize(
-            pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 0)), res_cell
+            pc.CompactSet(pc.dyadic_shell(lo, 0), None), res_cell
         )
         one = subcloud(base, np.arange(len(base)) == len(base) // 2)
         vals.append(capacity(one, lo).value)
@@ -79,7 +79,7 @@ def test_capacity_against_exhaustive_search():
     # final coordinate polish, no optimization theory involved
     lo = pc.lower_context(1)
     cloud = discretize(
-        pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 0)),
+        pc.CompactSet(pc.dyadic_shell(lo, 0), None),
         Resolution(level=0, base_time=3, base_radial=1),
     )
     assert 3 <= len(cloud) <= 8
@@ -119,7 +119,7 @@ def test_capacity_against_exhaustive_search():
 
 def test_certificates_on_converged_solve():
     lo = pc.lower_context(1, [0.7])
-    compact = pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 1))
+    compact = pc.CompactSet(pc.dyadic_shell(lo, 1), None)
     res = capacity_of_region(compact, lo)
     assert res.converged
     assert res.max_potential <= 1.0 + 1e-3
@@ -131,9 +131,9 @@ def test_certificates_on_converged_solve():
 
 def test_empty_intersection_certified_zero():
     lo = pc.lower_context(1)
-    compact = pc.shell_complement_intersection(
-        Intersection([TimeSlab(-100.0, -50.0), SpaceBall([30.0], 0.5)]),
+    compact = pc.CompactSet(
         pc.dyadic_shell(lo, 1),
+        Intersection([TimeSlab(-100.0, -50.0), SpaceBall([30.0], 0.5)]),
     )
     res = capacity_of_region(compact, lo)
     assert res.value == 0.0 and res.converged
@@ -156,7 +156,7 @@ def _family_masks(master, ctx):
 def test_monotonicity_and_strong_subadditivity():
     lo = pc.lower_context(1)
     master = discretize(
-        pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 2)),
+        pc.CompactSet(pc.dyadic_shell(lo, 2), None),
         Resolution(level=2),
     )
     coll = build_collocation(master, lo)
@@ -184,10 +184,10 @@ def test_appell_invariance_of_shell_capacity():
         up = pc.upper_context(dim)
         lo = up.mirror()
         vu = capacity_of_region(
-            pc.shell_complement_intersection(None, pc.dyadic_shell(up, 2)), up
+            pc.CompactSet(pc.dyadic_shell(up, 2), None), up
         ).value
         vl = capacity_of_region(
-            pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 2)), lo
+            pc.CompactSet(pc.dyadic_shell(lo, 2), None), lo
         ).value
         assert abs(vu - vl) <= 0.05 * vl
 
@@ -202,9 +202,9 @@ def test_appell_invariance_of_box_capacity():
     up = lo.mirror()
     box = Intersection([SpaceBall([0.1], 1.2), TimeSlab(-2.5, -0.6)])
     host_lo = HeatBall(lo, -0.25, 4.0)
-    vl = capacity_of_region(CompactSet(host_lo, box, lo), lo, levels=(0, 1, 2)).value
+    vl = capacity_of_region(CompactSet(host_lo, box), lo, levels=(0, 1, 2)).value
     vu = capacity_of_region(
-        CompactSet(host_lo.appell_image(), AppellImage(box), up), up, levels=(0, 1, 2)
+        CompactSet(host_lo.appell_image(), AppellImage(box)), up, levels=(0, 1, 2)
     ).value
     assert abs(vu - vl) <= 0.05 * vl
 
@@ -215,10 +215,10 @@ def test_classical_cross_check_two_paths():
     lo = pc.lower_context(1)
     up = lo.mirror()
     direct = capacity_of_region(
-        pc.shell_complement_intersection(None, pc.dyadic_shell(lo, 1)), lo
+        pc.CompactSet(pc.dyadic_shell(lo, 1), None), lo
     ).value
     pulled = capacity_of_region(
-        pc.shell_complement_intersection(None, pc.dyadic_shell(up, 1)), up
+        pc.CompactSet(pc.dyadic_shell(up, 1), None), up
     ).value
     assert abs(direct - pulled) <= 0.03 * direct
 
@@ -226,10 +226,10 @@ def test_classical_cross_check_two_paths():
 def test_smoothed_reduction_profile():
     lo = pc.lower_context(1)
     shell = pc.dyadic_shell(lo, 0)
-    compact = pc.shell_complement_intersection(None, shell)
+    compact = pc.CompactSet(shell, None)
     cloud = discretize(compact, Resolution(level=2))
     tol = 0.025
-    res = capacity(cloud, lo, tol=tol)
+    res = capacity(cloud, lo)
 
     lo_t, hi_t = shell.time_window
     span = hi_t - lo_t

@@ -271,12 +271,12 @@ def test_sphere_directions_measures():
 def test_discretize_empty_and_filter():
     lo = pc.lower_context(1)
     shell = pc.dyadic_shell(lo, 1)
-    empty = pc.shell_complement_intersection(EmptyRegion(), shell)
+    empty = pc.CompactSet(shell, EmptyRegion())
     cloud = discretize(empty, Resolution())
     assert cloud.is_empty and cloud.n_candidates > 0
 
     tube = Tube(PowerProfile(1.0, 0.5))
-    compact = pc.shell_complement_intersection(tube, shell)
+    compact = pc.CompactSet(shell, tube)
     cloud = discretize(compact, Resolution(level=1))
     assert len(cloud) > 0
     assert compact.contains(cloud.xs, cloud.ts).all()
@@ -287,13 +287,13 @@ def test_discretize_growth_and_determinism():
     for make, dim in ((pc.lower_context, 1), (pc.lower_context, 2)):
         ctx = make(dim)
         shell = pc.dyadic_shell(ctx, 0)
-        compact = pc.shell_complement_intersection(None, shell)
+        compact = pc.CompactSet(shell, None)
         n0 = len(discretize(compact, Resolution(level=0)))
         n1 = len(discretize(compact, Resolution(level=1)))
         growth = n1 / n0
         assert 0.55 * 2 ** (dim + 1) <= growth <= 1.6 * 2 ** (dim + 1)
     ctx = pc.upper_context(1, [0.4])
-    compact = pc.shell_complement_intersection(None, pc.dyadic_shell(ctx, 3))
+    compact = pc.CompactSet(pc.dyadic_shell(ctx, 3), None)
     a = discretize(compact, Resolution(level=1))
     b = discretize(compact, Resolution(level=1))
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ts, b.ts)
@@ -304,7 +304,7 @@ def test_discretize_volume_sanity():
     # total cell volume of a full ball approximates its true volume
     lo = pc.lower_context(1)
     ball = pc.HeatBall(lo, -0.25, 1.0)
-    compact = CompactSet(ball, None, lo)
+    compact = CompactSet(ball, None)
     cloud = discretize(compact, Resolution(level=2))
     taus = np.linspace(*ball.time_window, 4001)[1:-1]
     true_vol = float(np.trapezoid(2.0 * ball.radius(taus), taus))

@@ -190,6 +190,73 @@ def test_ratio_matrix_matches_naive_definition():
                 assert m[i, j] == pytest.approx(naive, rel=1e-10, abs=1e-280)
 
 
+def _direct_log_ratio(zx, zt, wx, wt, ctx):
+    """log of the ratio with the squared distance taken as a direct difference,
+    never expanded: |x - y + 2 dt gamma|^2 below, |tau (x - g) - t (y - g)|^2
+    above."""
+    g, n = ctx.gamma, ctx.dim
+    dt = zt[:, None] - wt[None, :]
+    if ctx.is_upper:
+        tt = zt[:, None] * wt[None, :]
+        d = wt[None, :, None] * (zx - g)[:, None, :] - zt[:, None, None] * (wx - g)[None, :, :]
+        return -0.5 * n * np.log(np.pi * dt / tt) - np.sum(d**2, axis=2) / (4.0 * tt * dt)
+    d = zx[:, None, :] - wx[None, :, :] + 2.0 * dt[:, :, None] * g
+    return -0.5 * n * np.log(4.0 * np.pi * dt) - np.sum(d**2, axis=2) / (4.0 * dt)
+
+
+@pytest.mark.parametrize("gamma", [[2.0], [0.3, -0.2]])
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_ratio_matrix_precision_on_a_far_shell(make, gamma):
+    # shell n = 14 sits at |t| ~ 1e4 below (1e-5 above), where a squared
+    # distance expanded in the raw coordinates cancels to ~1e-9
+    ctx = make(len(gamma), gamma)
+    cloud = pc.discretize(
+        pc.CompactSet(pc.dyadic_shell(ctx, 14), None),
+        pc.Resolution(level=0, base_time=10, base_radial=2),
+    )
+    worst, compared = 0.0, 0
+    for frac in (0.5, 0.05):
+        zt = cloud.ts + frac * cloud.cell_dts
+        keep = ctx.admits(zt)
+        zx, zt = cloud.xs[keep], zt[keep]
+        got = kernel_ratio_matrix(zx, zt, cloud.xs, cloud.ts, ctx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.exp(_direct_log_ratio(zx, zt, cloud.xs, cloud.ts, ctx))
+        live = (zt[:, None] - cloud.ts[None, :] > pc.kernel.TIME_EPS) & (want > 1e-280)
+        compared += int(np.sum(live))
+        worst = max(worst, float(np.max(np.abs(got[live] - want[live]) / want[live])))
+    assert compared > 100
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_pole_context_coordinates(make):
+    ctx = make(2, [0.4, -0.7])
+    sgn = 1.0 if ctx.is_upper else -1.0
+    ts = sgn * np.array([0.3, 1.0, 2.5])
+    # native time carries the half-space onto the lower one and is an involution
+    assert np.all(ctx.native_time(ts) < 0.0)
+    assert np.allclose(ctx.native_time(ctx.native_time(ts)), ts, rtol=1e-15)
+    # the axis passes through every heat-ball center
+    for t in ts:
+        assert np.array_equal(ctx.axis([t])[0], pc.HeatBall(ctx, t, 1.0).center.x)
+    # carry is where the literal kernel ratio from a source peaks later on
+    src_t, later = (2.0, 2.5) if ctx.is_upper else (-2.0, -0.5)
+    src = pc.point([0.2, 0.5], src_t)
+    peak = ctx.carry(src.x[None, :], src.t, later)[0]
+
+    def ratio(x):
+        z = pc.point(x, later)
+        lw = log_pole_weight(z.x[None, :], np.array([z.t]), ctx)[0]
+        lws = log_pole_weight_star(src.x[None, :], np.array([src.t]), ctx)[0]
+        return pc.heat_kernel(z, src) * np.exp(-lw - lws)
+
+    top = ratio(peak)
+    for e in np.eye(2):
+        for h in (1e-3, -1e-3, 0.1, -0.1):
+            assert ratio(peak + h * e) < top
+
+
 def test_bridge_increment_exponent_identity():
     rng = np.random.default_rng(100)
     for dim in (1, 2, 3):
