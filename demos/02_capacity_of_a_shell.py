@@ -22,16 +22,16 @@ print("ratio levels     :", shell.levels)
 
 for level in (0, 1):
     cloud = discretize(compact, Resolution(level=level))
-    res = capacity(cloud, lo)
+    res = capacity(cloud)
     print(
         f"level {level}: nodes={len(cloud):4d} value={res.value:.4f} "
         f"max_pot={res.max_potential:.4f} probe={res.probe_max_potential:.4f} "
         f"slack={res.comp_slack_residual:.1e} gap={res.duality_gap:.1e}"
     )
 
-# the driver refines until two values agree within 2 percent and the probe
-# certificate holds; the history shows the bracketing values
-res = capacity_of_region(compact, lo)
+# the driver refines until two values agree within 2 percent and the result
+# is certified; the history shows the bracketing values
+res = capacity_of_region(compact)
 print("\nrefined value :", res.value, "converged:", res.converged)
 print("history       :", res.history)
 print("support size  :", res.diagnostics["support_size"], "of", res.diagnostics["n_nodes"])

@@ -50,8 +50,8 @@ if shell.contains_point(probe):
     print("\nshell membership preserved:", image.contains_point(mapped))
 
 # capacity is invariant under the exchange (matched native resolutions)
-vu = pc.capacity_of_region(pc.CompactSet(shell, None), up).value
-vl = pc.capacity_of_region(pc.CompactSet(shell.appell_image(), None), lo).value
+vu = pc.capacity_of_region(pc.CompactSet(shell, None)).value
+vl = pc.capacity_of_region(pc.CompactSet(shell.appell_image(), None)).value
 print("capacity upstairs/downstairs:", vu, vl, f"(rel diff {abs(vu - vl) / vl:.3%})")
 
 # the operator transfer identity, probed by finite differences

@@ -74,7 +74,6 @@ from .capacity import (
     capacity_of_region,
     potential,
     potential_batch,
-    smoothed_reduction_on_compact,
 )
 from .wiener import (
     ClassifyPolicy,

@@ -37,8 +37,10 @@ __all__ = [
     "build_collocation",
     "capacity",
     "capacity_of_region",
-    "smoothed_reduction_on_compact",
 ]
+
+# probe cloud seed of a solve that is given none
+PROBE_SEED = 74321
 
 
 class SolverFailure(RuntimeError):
@@ -63,8 +65,11 @@ class CapacityResult:
     history: tuple = ()           # (level, value) pairs across refinements
     diagnostics: dict = field(default_factory=dict)
 
-    def feasible(self, tol: float = 1e-3) -> bool:
-        return self.max_potential <= 1.0 + tol
+    def certified(self, tol: float) -> bool:
+        """The potential stays within 1 + tol on the collocation and on the
+        fresh probe cloud; a measure failing either is no capacity."""
+        bound = 1.0 + tol
+        return self.max_potential <= bound and self.probe_max_potential <= bound
 
 
 def potential_batch(
@@ -106,13 +111,13 @@ class Collocation:
         return self.ts.shape[0]
 
 
-def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
+def build_collocation(cloud: NodeCloud) -> Collocation:
     """Nodes, their forward guards, and a halo slab above the set.
 
     Guards sit half a temporal cell above each node, displaced onto the
     local kernel-peak line so the binding constraint faces the spike it is
     meant to cap."""
-    xs, ts = cloud.xs, cloud.ts
+    xs, ts, ctx = cloud.xs, cloud.ts, cloud.ctx
     guard_ts = ts + 0.5 * cloud.cell_dts
     guard_xs = ctx.carry(xs, ts, guard_ts)
 
@@ -158,7 +163,8 @@ def build_collocation(cloud: NodeCloud, ctx: PoleContext) -> Collocation:
 PROBE_FACTOR = 4
 
 
-def _probe_points(cloud: NodeCloud, coll: Collocation, ctx: PoleContext, seed: int):
+def _probe_points(cloud: NodeCloud, coll: Collocation, seed: int):
+    ctx = cloud.ctx
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     n = PROBE_FACTOR * len(coll)
     idx = np.arange(n) % len(cloud)
@@ -202,11 +208,11 @@ def _unit_rays(rng, n, dim):
 
 def capacity(
     cloud: NodeCloud,
-    ctx: PoleContext,
+    *,
     collocation: Optional[Collocation] = None,
-    probe_seed: int = 74321,
+    probe_seed: int = PROBE_SEED,
 ) -> CapacityResult:
-    """Solve the packing program for one node cloud.
+    """Solve the packing program for one node cloud, in its set's context.
 
     Raises SolverFailure when the LP does not reach optimality; the exception
     carries the best feasible value seen.
@@ -225,7 +231,8 @@ def capacity(
             diagnostics={"n_nodes": 0, "n_candidates": cloud.n_candidates},
         )
 
-    coll = collocation if collocation is not None else build_collocation(cloud, ctx)
+    ctx = cloud.ctx
+    coll = collocation if collocation is not None else build_collocation(cloud)
     A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, ctx)
 
     col_max = A.max(axis=0)
@@ -282,7 +289,7 @@ def capacity(
     ) / scale
     gap = abs(dual_value - value) / scale
 
-    px, pt = _probe_points(cloud, coll, ctx, probe_seed)
+    px, pt = _probe_points(cloud, coll, probe_seed)
     probe_max = float(np.max(potential_batch(mu, px, pt, ctx))) if pt.size else 0.0
 
     return CapacityResult(
@@ -306,21 +313,24 @@ def capacity(
 
 def capacity_of_region(
     compact: CompactSet,
-    ctx: PoleContext,
+    *,
     levels: Sequence[int] = (0, 1, 2, 3),
     rel_stall: float = 0.02,
     tol: float = 1e-3,
     base_resolution: Resolution = Resolution(),
-    probe_seed: int = 74321,
+    probe_seed: int = PROBE_SEED,
 ) -> CapacityResult:
-    """Capacity through a refining node-cloud sequence.
+    """Capacity through a refining node-cloud sequence, in the set's context.
 
     Reports convergence once two successive values agree within rel_stall
-    AND the fresh-probe feasibility certificate holds at that level; if the
-    level budget runs out first the result carries converged False with the
-    bracketing values in its history.  An empty intersection certifies as
-    zero once two consecutive levels emit no nodes.
+    AND the result is certified at that level; if the level budget runs out
+    first the result carries converged False with the bracketing values in
+    its history.  An empty intersection certifies as zero once two
+    consecutive levels emit no nodes.  An empty ``levels`` is a ValueError.
     """
+    levels = tuple(levels)
+    if not levels:
+        raise ValueError("levels must name at least one refinement level")
     history: list[tuple[int, float]] = []
     last: Optional[CapacityResult] = None
     empty_streak = 0
@@ -330,19 +340,19 @@ def capacity_of_region(
         if cloud.is_empty:
             empty_streak += 1
             history.append((lv, 0.0))
-            last = replace(capacity(cloud, ctx, probe_seed=probe_seed),
+            last = replace(capacity(cloud, probe_seed=probe_seed),
                            converged=empty_streak >= 2, history=tuple(history))
             if empty_streak >= 2:
                 return last
             continue
         empty_streak = 0
         try:
-            result = capacity(cloud, ctx, probe_seed=probe_seed)
+            result = capacity(cloud, probe_seed=probe_seed)
         except SolverFailure as exc:
             history.append((lv, exc.best_value))
             return CapacityResult(
                 value=exc.best_value,
-                capacitary=DiscreteMeasure.empty(ctx.dim),
+                capacitary=DiscreteMeasure.empty(cloud.dim),
                 max_potential=np.inf,
                 min_potential_on_nodes=0.0,
                 probe_max_potential=np.inf,
@@ -357,21 +367,11 @@ def capacity_of_region(
         prev = history[-2][1] if len(history) >= 2 else None
         if prev is not None and prev > 0.0:
             stalled = abs(result.value - prev) <= rel_stall * max(result.value, 1e-300)
-            # a level whose probe violates feasibility has not converged yet
-            certified = result.probe_max_potential <= 1.0 + tol
-            if stalled and certified:
+            # an uncertified level has not converged yet
+            if stalled and result.certified(tol):
                 return replace(result, history=tuple(history), converged=True)
         last = result
-    assert last is not None
     return replace(
         last, history=tuple(history), converged=len(history) == 1 and last.value == 0.0
     )
 
-
-def smoothed_reduction_on_compact(
-    result: CapacityResult, z: SpaceTimePoint, ctx: PoleContext
-) -> float:
-    """Potential of the maximizing measure: close to 1 across the set, and
-    weight * potential is annihilated by the heat operator away from the
-    support."""
-    return potential(result.capacitary, z, ctx)

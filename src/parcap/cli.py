@@ -40,7 +40,7 @@ from .kernel import (
     point,
 )
 from .regions import Region, region_from_json
-from .reporting import dump_csv, dump_json
+from .reporting import dump_csv, dump_json, to_jsonable
 from .wiener import ClassifyPolicy, Verdict, lambda_series_terms, series_terms
 
 CRITERION_TEXT = (
@@ -53,6 +53,12 @@ CRITERION_TEXT = (
 
 # smallest shrink factor of the operator-transfer residual under step halving
 HALVING_MIN = 3.0
+
+# refinement settings of the capacity and series tasks when a config sets none
+SOLVE_DEFAULTS = {"levels": [0, 1, 2], "tol": 1e-3, "rel_stall": 0.02}
+# the config keys of each dataclass the parameters may set
+RESOLUTION_KEYS = ("base_time", "base_radial", "base_angular", "base_polar")
+POLICY_KEYS = ("eps_slope", "rho_max", "window", "min_terms")
 
 
 class ConfigError(ValueError):
@@ -119,21 +125,77 @@ def _parse_region(params, key, pointer, errors, required=False) -> Region | None
         return None
 
 
-def _parse_resolution(params, pointer, errors) -> Resolution:
-    obj = params.get("resolution")
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return _is_int(val) or isinstance(val, float)
+
+
+def _parse_fields(cls, obj, keys, pointer, errors):
+    """cls from the config object at pointer: each key one of keys, with a
+    value of its default's type; the fields the object leaves out keep their
+    defaults."""
     if obj is None:
-        return Resolution()
+        return cls()
+    if not isinstance(obj, dict):
+        _err(errors, pointer, f"expected an object, got {type(obj).__name__}")
+        return cls()
+    defaults = cls()
+    kwargs = {}
+    for key, val in obj.items():
+        want = type(getattr(defaults, key, None))
+        if key not in keys:
+            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {list(keys)}")
+        elif want is int and _is_int(val):
+            kwargs[key] = val
+        elif want is float and _is_number(val):
+            kwargs[key] = float(val)
+        else:
+            _err(errors, f"{pointer}/{key}", f"expected {want.__name__}, got {val!r}")
     try:
-        return Resolution(
-            level=0,
-            base_time=int(obj.get("base_time", 12)),
-            base_radial=int(obj.get("base_radial", 3)),
-            base_angular=int(obj.get("base_angular", 8)),
-            base_polar=int(obj.get("base_polar", 4)),
-        )
-    except (TypeError, ValueError) as exc:
-        _err(errors, f"{pointer}/resolution", str(exc))
-        return Resolution()
+        return cls(**kwargs)
+    except ValueError as exc:
+        _err(errors, pointer, str(exc))
+        return cls()
+
+
+def _parse_solve(params, errors) -> dict:
+    """The capacity_of_region keywords the capacity and series tasks share."""
+    solve = {k: params.get(k, v) for k, v in SOLVE_DEFAULTS.items()}
+    levels = solve["levels"]
+    if not (isinstance(levels, list) and levels
+            and all(_is_int(v) and v >= 0 for v in levels)):
+        _err(errors, "/parameters/levels",
+             f"expected a non-empty list of integers >= 0, got {levels!r}")
+    for key in ("tol", "rel_stall"):
+        if not _is_number(solve[key]):
+            _err(errors, f"/parameters/{key}", f"expected a number, got {solve[key]!r}")
+        else:
+            solve[key] = float(solve[key])
+    solve["base_resolution"] = _parse_fields(
+        Resolution, params.get("resolution"), RESOLUTION_KEYS, "/parameters/resolution", errors
+    )
+    return solve
+
+
+# CSV files not named <stem>_table.csv
+_CSV_FILE = {"capacity": "capacity_measure.csv", "simulate": "simulate_paths.csv"}
+
+
+def _emit(out, emit, stem, report, header, rows):
+    """Write `<stem>_report.json` and the CSV table, as --emit selects: the
+    rows under header, or, with header None, what the function rows writes
+    to the path it is given."""
+    if emit in ("json", "both"):
+        dump_json(out / f"{stem}_report.json", report)
+    if emit in ("csv", "both"):
+        path = out / _CSV_FILE.get(stem, f"{stem}_table.csv")
+        if header is None:
+            rows(path)
+        else:
+            dump_csv(path, header, rows)
 
 
 def _named_field(spec_obj, ctx, pointer, errors):
@@ -168,28 +230,20 @@ def _named_field(spec_obj, ctx, pointer, errors):
 # ---------------------------------------------------------------------------
 
 def _audit(ctx, seed, extra):
-    base = {
+    return {
         "tool_version": __version__,
         "criterion": CRITERION_TEXT,
-        "context": {
-            "dim": ctx.dim,
-            "gamma": [float(v) for v in ctx.gamma],
-            "half_space": ctx.half_space.value,
-        },
+        "context": ctx,
         "seed": seed,
+        **extra,
     }
-    base.update(extra)
-    return base
 
 
 def _run_capacity(ctx, params, seed, out, emit, errors):
     shell_obj = _get(params, "shell", "/parameters", errors, types=dict)
     region = _parse_region(params, "region", "/parameters", errors)
-    levels = params.get("levels", [0, 1, 2])
-    tol = float(params.get("tol", 1e-3))
-    rel_stall = float(params.get("rel_stall", 0.02))
+    solve = _parse_solve(params, errors)
     tc = params.get("time_center")
-    base_res = _parse_resolution(params, "/parameters", errors)
     shell = None
     if shell_obj is not None:
         kind = _get(shell_obj, "kind", "/parameters/shell", errors, types=str,
@@ -211,11 +265,7 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
     if errors:
         raise ConfigError(errors)
 
-    compact = CompactSet(shell, region)
-    result = capacity_of_region(
-        compact, ctx, levels=levels, rel_stall=rel_stall, tol=tol,
-        base_resolution=base_res, probe_seed=seed,
-    )
+    result = capacity_of_region(CompactSet(shell, region), **solve, probe_seed=seed)
     mu = result.capacitary
     report = _audit(ctx, seed, {
         "task": "capacity",
@@ -225,33 +275,19 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
         "probe_max_potential": result.probe_max_potential,
         "comp_slack_residual": result.comp_slack_residual,
         "duality_gap": result.duality_gap,
-        "tolerance": tol,
-        "rel_stall": rel_stall,
-        "history": [list(h) for h in result.history],
+        "tolerance": solve["tol"],
+        "rel_stall": solve["rel_stall"],
+        "history": result.history,
         "resolution": result.resolution.describe(),
-        "shell_time_window": list(shell.time_window),
+        "shell_time_window": shell.time_window,
         "diagnostics": result.diagnostics,
-        "measure": {
-            "nodes_x": [[float(v) for v in row] for row in mu.xs],
-            "nodes_t": [float(v) for v in mu.ts],
-            "masses": [float(v) for v in mu.masses],
-        },
+        "measure": {"nodes_x": mu.xs, "nodes_t": mu.ts, "masses": mu.masses},
     })
-    if emit in ("json", "both"):
-        dump_json(out / "capacity_report.json", report)
-    if emit in ("csv", "both"):
-        rows = [
-            list(mu.xs[i]) + [mu.ts[i], mu.masses[i]]
-            for i in range(len(mu))
-        ]
-        dump_csv(
-            out / "capacity_measure.csv",
-            [f"x{i+1}" for i in range(ctx.dim)] + ["t", "mass"],
-            rows,
-        )
+    _emit(out, emit, "capacity", report,
+          [f"x{i+1}" for i in range(ctx.dim)] + ["t", "mass"],
+          np.column_stack([mu.xs, mu.ts, mu.masses]))
     # a measure that fails its own feasibility certificate is no capacity
-    certified = result.feasible(tol) and result.probe_max_potential <= 1.0 + tol
-    return 0 if certified else 2
+    return 0 if result.certified(solve["tol"]) else 2
 
 
 def _run_series(ctx, params, seed, out, emit, errors):
@@ -261,16 +297,9 @@ def _run_series(ctx, params, seed, out, emit, errors):
     lam = params.get("lam")
     if kind == "lambda" and not isinstance(lam, (int, float)):
         _err(errors, "/parameters/lam", "lambda series needs a numeric 'lam' > 1")
-    levels = params.get("levels", [0, 1, 2])
-    tol = float(params.get("tol", 1e-3))
-    rel_stall = float(params.get("rel_stall", 0.02))
-    base_res = _parse_resolution(params, "/parameters", errors)
-    pol_obj = params.get("policy", {})
-    policy = ClassifyPolicy(
-        eps_slope=float(pol_obj.get("eps_slope", 0.05)),
-        rho_max=float(pol_obj.get("rho_max", 0.8)),
-        window=int(pol_obj.get("window", 6)),
-        min_terms=int(pol_obj.get("min_terms", 6)),
+    solve = _parse_solve(params, errors)
+    policy = _parse_fields(
+        ClassifyPolicy, params.get("policy"), POLICY_KEYS, "/parameters/policy", errors
     )
     if errors:
         raise ConfigError(errors)
@@ -279,58 +308,29 @@ def _run_series(ctx, params, seed, out, emit, errors):
         n_min = int(params.get("n_min", 2))
         n_max = int(params.get("n_max", 14))
         report_obj = series_terms(
-            region, ctx, range(n_min, n_max + 1), levels=levels,
-            rel_stall=rel_stall, tol=tol, base_resolution=base_res, policy=policy,
+            region, ctx, range(n_min, n_max + 1), policy=policy, probe_seed=seed, **solve
         )
     else:
         n_rng = None
         if "n_min" in params and "n_max" in params:
             n_rng = range(int(params["n_min"]), int(params["n_max"]) + 1)
         report_obj = lambda_series_terms(
-            region, ctx, float(lam), n_rng, levels=levels,
-            rel_stall=rel_stall, tol=tol, base_resolution=base_res, policy=policy,
+            region, ctx, float(lam), n_rng, policy=policy, probe_seed=seed, **solve
         )
 
+    body = to_jsonable(report_obj)
+    body["lambda"] = body.pop("lam")
     report = _audit(ctx, seed, {
         "task": "series",
-        "kind": report_obj.kind,
-        "lambda": report_obj.lam,
-        "verdict": report_obj.verdict.value,
-        "confidence": report_obj.confidence,
-        "orientation": report_obj.orientation,
-        "tolerance": tol,
-        "rel_stall": rel_stall,
-        "refinement_levels": list(levels),
-        "policy": {
-            "eps_slope": policy.eps_slope,
-            "rho_max": policy.rho_max,
-            "window": policy.window,
-            "min_terms": policy.min_terms,
-        },
-        "diagnostics": report_obj.diagnostics,
-        "terms": [
-            {
-                "n": t.n,
-                "capacity": t.capacity,
-                "weight": t.weight,
-                "term": t.term,
-                "converged": t.converged,
-                "time_window": list(t.time_window),
-                "n_nodes": t.n_nodes,
-                "level": t.level,
-            }
-            for t in report_obj.terms
-        ],
-        "partial_sums": list(report_obj.partial_sums),
+        **body,
+        "tolerance": solve["tol"],
+        "rel_stall": solve["rel_stall"],
+        "refinement_levels": solve["levels"],
     })
-    if emit in ("json", "both"):
-        dump_json(out / "series_report.json", report)
-    if emit in ("csv", "both"):
-        rows = [
-            [t.n, t.capacity, t.term, s]
-            for t, s in zip(report_obj.terms, report_obj.partial_sums)
-        ]
-        dump_csv(out / "series_table.csv", ["n", "capacity", "term", "partial_sum"], rows)
+    _emit(out, emit, "series", report, ["n", "capacity", "term", "partial_sum"], [
+        [t.n, t.capacity, t.term, s]
+        for t, s in zip(report_obj.terms, report_obj.partial_sums)
+    ])
     return 2 if report_obj.verdict is Verdict.INCONCLUSIVE else 0
 
 
@@ -363,19 +363,9 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
         "n_paths": n_paths,
         "grid": {"t_start": grid.t_start, "t_end": grid.t_end, "ratio": grid.ratio,
                  "n_times": int(times.shape[0])},
-        "estimate": None if est is None else {
-            "deltas": list(est.deltas),
-            "frequencies": list(est.frequencies),
-            "ci_low": list(est.ci_low),
-            "ci_high": list(est.ci_high),
-            "verdict": est.verdict.value,
-            "diagnostics": est.diagnostics,
-        },
+        "estimate": est,
     })
-    if emit in ("json", "both"):
-        dump_json(out / "simulate_report.json", report)
-    if emit in ("csv", "both"):
-        ens.to_csv(out / "simulate_paths.csv")
+    _emit(out, emit, "simulate", report, None, ens.to_csv)
     if est is not None and est.verdict.value == "indeterminate":
         return 2
     return 0
@@ -405,12 +395,8 @@ def _run_mean_value(ctx, params, seed, out, emit, errors):
         "center_value": expected,
         "abs_error": abs(got - expected),
     })
-    if emit in ("json", "both"):
-        dump_json(out / "mean_value_report.json", report)
-    if emit in ("csv", "both"):
-        dump_csv(out / "mean_value_table.csv",
-                 ["c", "value", "center_value", "abs_error"],
-                 [[c, got, expected, abs(got - expected)]])
+    header = ["c", "value", "center_value", "abs_error"]
+    _emit(out, emit, "mean_value", report, header, [[report[k] for k in header]])
     return 0
 
 
@@ -439,23 +425,18 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
         raise ConfigError([f"/parameters/u/kind: unknown fixture {kind!r}"])
 
     quad = QuadratureSpec(tol=float(params.get("tol", 1e-3)))
-    rows = []
-    for c in c_values:
-        ball = HeatBall(ctx, t0, float(c))
-        res = harnack_check(u, ball.center, float(c), ctx, quad=quad)
-        rows.append([float(c), res.average, res.infimum, res.ratio])
+    results = []
+    for c in map(float, c_values):
+        res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx, quad=quad)
+        results.append({"c": c, **to_jsonable(res)})
     report = _audit(ctx, seed, {
         "task": "harnack",
         "time_center": t0,
-        "results": [
-            {"c": r[0], "average": r[1], "infimum": r[2], "ratio": r[3]} for r in rows
-        ],
-        "max_ratio": max(r[3] for r in rows),
+        "results": results,
+        "max_ratio": max(r["ratio"] for r in results),
     })
-    if emit in ("json", "both"):
-        dump_json(out / "harnack_report.json", report)
-    if emit in ("csv", "both"):
-        dump_csv(out / "harnack_table.csv", ["c", "average", "infimum", "ratio"], rows)
+    header = ["c", "average", "infimum", "ratio"]
+    _emit(out, emit, "harnack", report, header, [[r[k] for k in header] for r in results])
     return 0
 
 
@@ -530,12 +511,8 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
         "checks": checks,
         "all_passed": ok,
     })
-    if emit in ("json", "both"):
-        dump_json(out / "appell_check_report.json", report)
-    if emit in ("csv", "both"):
-        dump_csv(out / "appell_check_table.csv",
-                 ["check", "residual", "threshold"],
-                 [[c["name"], c["residual"], c["threshold"]] for c in checks])
+    _emit(out, emit, "appell_check", report, ["check", "residual", "threshold"],
+          [[c["name"], c["residual"], c["threshold"]] for c in checks])
     return 0 if ok else 1
 
 

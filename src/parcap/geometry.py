@@ -351,6 +351,7 @@ class NodeCloud:
     cell_dts: np.ndarray  # (M,) temporal extent of each node's cell
     cell_drs: np.ndarray  # (M,) radial extent of each node's cell
     resolution: Resolution
+    ctx: PoleContext      # the context of the set the nodes discretize
     n_candidates: int = 0  # cells examined, including rejected ones
 
     def __len__(self) -> int:
@@ -358,16 +359,16 @@ class NodeCloud:
 
     @property
     def dim(self) -> int:
-        return self.xs.shape[1]
+        return self.ctx.dim
 
     @property
     def is_empty(self) -> bool:
         return len(self) == 0
 
     @staticmethod
-    def empty(dim: int, resolution: Resolution, n_candidates: int = 0) -> "NodeCloud":
+    def empty(ctx: PoleContext, resolution: Resolution, n_candidates: int = 0) -> "NodeCloud":
         z = np.zeros(0)
-        return NodeCloud(np.zeros((0, dim)), z, z, z, z, resolution, n_candidates)
+        return NodeCloud(np.zeros((0, ctx.dim)), z, z, z, z, resolution, ctx, n_candidates)
 
 
 @dataclass(frozen=True)
@@ -455,7 +456,7 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         dr_parts.append(drs[keep])
 
     if not xs_parts:
-        return NodeCloud.empty(N, resolution, candidates)
+        return NodeCloud.empty(ctx, resolution, candidates)
     return NodeCloud(
         np.concatenate(xs_parts),
         np.concatenate(ts_parts),
@@ -463,5 +464,6 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         np.concatenate(dt_parts),
         np.concatenate(dr_parts),
         resolution,
+        ctx,
         candidates,
     )

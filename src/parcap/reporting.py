@@ -44,9 +44,9 @@ def dump_json(path, obj) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # numpy scalars print as np.float64(...) under repr, so every float goes
+    # through the builtin one
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import capacity_of_region
+from .capacity import PROBE_SEED, capacity_of_region
 from .geometry import CompactSet, Resolution, dyadic_shell, level_shell
 from .kernel import PoleContext
 from .regions import Region
@@ -158,31 +158,21 @@ def classify(
 
 def _run_series(
     region: Optional[Region],
-    ctx: PoleContext,
     shells,
     weights,
     ns,
     kind: str,
     lam: Optional[float],
-    levels,
-    rel_stall,
-    tol,
-    base_resolution,
-    policy,
+    policy: ClassifyPolicy,
+    **solve,
 ) -> SeriesReport:
+    """Solve each shell's capacity with the ``capacity_of_region`` keywords
+    in ``solve``, in the shell's own context, and classify the terms."""
     out_terms: list[ShellTerm] = []
     sums: list[float] = []
     total = 0.0
     for n, shell, weight in zip(ns, shells, weights):
-        compact = CompactSet(shell, region)
-        result = capacity_of_region(
-            compact,
-            ctx,
-            levels=levels,
-            rel_stall=rel_stall,
-            tol=tol,
-            base_resolution=base_resolution,
-        )
+        result = capacity_of_region(CompactSet(shell, region), **solve)
         term = weight * result.value
         total += term
         sums.append(total)
@@ -223,18 +213,20 @@ def series_terms(
     base_resolution: Resolution = Resolution(),
     policy: ClassifyPolicy = ClassifyPolicy(),
     time_center: float | None = None,
+    probe_seed: int = PROBE_SEED,
 ) -> SeriesReport:
     """Dyadic series: weight 2^(-n N / 2) against shell scales 2^n.
 
     ``region`` describes the complement set directly (None or a full region
-    gives the bare shells; an empty region zeroes every term).
+    gives the bare shells; an empty region zeroes every term).  Every shell
+    draws its probe cloud from ``probe_seed``.
     """
     ns = list(n_range)
     shells = [dyadic_shell(ctx, n, time_center) for n in ns]
     weights = [2.0 ** (-0.5 * n * ctx.dim) for n in ns]
     return _run_series(
-        region, ctx, shells, weights, ns, "dyadic", None,
-        levels, rel_stall, tol, base_resolution, policy,
+        region, shells, weights, ns, "dyadic", None, policy, levels=levels,
+        rel_stall=rel_stall, tol=tol, base_resolution=base_resolution, probe_seed=probe_seed,
     )
 
 
@@ -267,6 +259,7 @@ def lambda_series_terms(
     base_resolution: Resolution = Resolution(),
     policy: ClassifyPolicy = ClassifyPolicy(),
     time_center: float | None = None,
+    probe_seed: int = PROBE_SEED,
 ) -> SeriesReport:
     """General level-shell series with weight lambda^(-n), lambda > 1."""
     if lam <= 1.0:
@@ -275,6 +268,6 @@ def lambda_series_terms(
     shells = [level_shell(ctx, lam, n, time_center) for n in ns]
     weights = [lam ** (-n) for n in ns]
     return _run_series(
-        region, ctx, shells, weights, ns, "lambda", lam,
-        levels, rel_stall, tol, base_resolution, policy,
+        region, shells, weights, ns, "lambda", lam, policy, levels=levels,
+        rel_stall=rel_stall, tol=tol, base_resolution=base_resolution, probe_seed=probe_seed,
     )

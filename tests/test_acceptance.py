@@ -183,7 +183,8 @@ def test_criterion_3_geometry():
 def _subcloud(cloud: NodeCloud, mask) -> NodeCloud:
     return NodeCloud(
         cloud.xs[mask], cloud.ts[mask], cloud.volumes[mask],
-        cloud.cell_dts[mask], cloud.cell_drs[mask], cloud.resolution, cloud.n_candidates,
+        cloud.cell_dts[mask], cloud.cell_drs[mask], cloud.resolution, cloud.ctx,
+        cloud.n_candidates,
     )
 
 
@@ -208,7 +209,7 @@ def test_criterion_4_capacity():
     for name, (n, reg) in family.items():
         t0 = time.perf_counter()
         res = capacity_of_region(
-            pc.CompactSet(pc.dyadic_shell(lo, n), reg), lo, tol=tol
+            pc.CompactSet(pc.dyadic_shell(lo, n), reg), tol=tol
         )
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
@@ -222,19 +223,19 @@ def test_criterion_4_capacity():
     master = discretize(
         pc.CompactSet(pc.dyadic_shell(lo, 2), None), Resolution(level=2)
     )
-    coll = build_collocation(master, lo)
+    coll = build_collocation(master)
     regions = {k: v[1] for k, v in family.items() if v[1] is not None}
     masks = {k: r.contains(master.xs, master.ts, lo) for k, r in regions.items()}
     masks["full"] = np.ones(len(master), dtype=bool)
-    vals = {k: capacity(_subcloud(master, m), lo, collocation=coll).value for k, m in masks.items()}
+    vals = {k: capacity(_subcloud(master, m), collocation=coll).value for k, m in masks.items()}
     for small, big in (("ball_small", "ball_big"), ("tube", "tube_or_slab"), ("slab", "full")):
         assert vals[small] <= vals[big] * (1.0 + tol), (small, big)
     sub_margin = np.inf
     for a, b in (("tube", "slab"), ("ball_small", "halfspace"), ("ball_big", "slab")):
         mu_ = masks[a] | masks[b]
         mi = masks[a] & masks[b]
-        vu = capacity(_subcloud(master, mu_), lo, collocation=coll).value
-        vi = capacity(_subcloud(master, mi), lo, collocation=coll).value if mi.any() else 0.0
+        vu = capacity(_subcloud(master, mu_), collocation=coll).value
+        vi = capacity(_subcloud(master, mi), collocation=coll).value if mi.any() else 0.0
         bound = vals[a] + vals[b]
         assert vu + vi <= bound + tol * bound + 1e-9, (a, b)
         sub_margin = min(sub_margin, bound + tol * bound - vu - vi)
@@ -250,10 +251,10 @@ def test_criterion_4_capacity():
         for n in shells:
             t0 = time.perf_counter()
             vu = capacity_of_region(
-                pc.CompactSet(pc.dyadic_shell(up_d, n), None), up_d, tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(up_d, n), None), tol=tol, **kwargs
             ).value
             vl = capacity_of_region(
-                pc.CompactSet(pc.dyadic_shell(lo_d, n), None), lo_d, tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(lo_d, n), None), tol=tol, **kwargs
             ).value
             assert time.perf_counter() - t0 < 120.0
             rel = abs(vu - vl) / vl

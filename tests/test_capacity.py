@@ -8,7 +8,6 @@ from parcap.capacity import (
     capacity_of_region,
     potential,
     potential_batch,
-    smoothed_reduction_on_compact,
 )
 from parcap.geometry import NodeCloud, Resolution, discretize
 from parcap.kernel import kernel_ratio_matrix, log_pole_weight
@@ -32,6 +31,7 @@ def subcloud(cloud: NodeCloud, mask) -> NodeCloud:
         cloud.cell_dts[mask],
         cloud.cell_drs[mask],
         cloud.resolution,
+        cloud.ctx,
         cloud.n_candidates,
     )
 
@@ -52,9 +52,52 @@ def test_potential_basics():
 
 def test_empty_cloud_capacity():
     lo = pc.lower_context(1)
-    cloud = NodeCloud.empty(1, Resolution(), 10)
-    res = capacity(cloud, lo)
+    cloud = NodeCloud.empty(lo, Resolution(), 10)
+    res = capacity(cloud)
     assert res.value == 0.0 and res.converged
+
+
+def test_the_solve_takes_its_context_from_the_set():
+    # the set carries the pole context; a second one cannot be passed
+    up = pc.upper_context(1, [0.5])
+    compact = pc.CompactSet(pc.dyadic_shell(up, 1), None)
+    cloud = discretize(compact, Resolution(level=0, base_time=4, base_radial=1))
+    assert cloud.ctx is up and cloud.dim == 1
+    for ctx in (up.mirror(), pc.upper_context(1, [-0.5])):
+        with pytest.raises(TypeError):
+            capacity_of_region(compact, ctx)
+        with pytest.raises(TypeError):
+            capacity(cloud, ctx)
+        with pytest.raises(TypeError):
+            build_collocation(cloud, ctx)
+    assert NodeCloud.empty(up, Resolution()).dim == 1
+
+
+@pytest.mark.parametrize("levels", [(), []])
+def test_capacity_of_region_rejects_empty_levels(levels):
+    compact = pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None)
+    with pytest.raises(ValueError, match="levels"):
+        capacity_of_region(compact, levels=levels)
+
+
+@pytest.mark.parametrize(
+    "max_pot, probe_max, certified",
+    [(1.0, 1.0, True), (1.001, 1.001, True), (1.0011, 1.0, False), (1.0, 1.0011, False),
+     (np.nan, 1.0, False), (1.0, np.nan, False)],
+)
+def test_certified_needs_both_certificates(max_pot, probe_max, certified):
+    res = pc.CapacityResult(
+        value=1.0,
+        capacitary=DiscreteMeasure.empty(1),
+        max_potential=max_pot,
+        min_potential_on_nodes=1.0,
+        probe_max_potential=probe_max,
+        comp_slack_residual=0.0,
+        duality_gap=0.0,
+        resolution=Resolution(),
+        converged=True,
+    )
+    assert res.certified(1e-3) is certified
 
 
 def test_singleton_mass_vanishes_under_refinement():
@@ -66,7 +109,7 @@ def test_singleton_mass_vanishes_under_refinement():
             pc.CompactSet(pc.dyadic_shell(lo, 0), None), res_cell
         )
         one = subcloud(base, np.arange(len(base)) == len(base) // 2)
-        vals.append(capacity(one, lo).value)
+        vals.append(capacity(one).value)
     # a lone atom is capped by its own guard row, so its mass scales with the
     # square root of the temporal cell and shrinks under refinement
     assert vals[0] > vals[1] > vals[2]
@@ -83,9 +126,9 @@ def test_capacity_against_exhaustive_search():
         Resolution(level=0, base_time=3, base_radial=1),
     )
     assert 3 <= len(cloud) <= 8
-    res = capacity(cloud, lo)
+    res = capacity(cloud)
 
-    coll = build_collocation(cloud, lo)
+    coll = build_collocation(cloud)
     A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, lo)
     m = len(cloud)
     hi = 1.0 / A.max(axis=0)
@@ -120,7 +163,7 @@ def test_capacity_against_exhaustive_search():
 def test_certificates_on_converged_solve():
     lo = pc.lower_context(1, [0.7])
     compact = pc.CompactSet(pc.dyadic_shell(lo, 1), None)
-    res = capacity_of_region(compact, lo)
+    res = capacity_of_region(compact)
     assert res.converged
     assert res.max_potential <= 1.0 + 1e-3
     assert res.probe_max_potential <= 1.0 + 1e-3
@@ -135,7 +178,7 @@ def test_empty_intersection_certified_zero():
         pc.dyadic_shell(lo, 1),
         Intersection([TimeSlab(-100.0, -50.0), SpaceBall([30.0], 0.5)]),
     )
-    res = capacity_of_region(compact, lo)
+    res = capacity_of_region(compact)
     assert res.value == 0.0 and res.converged
 
 
@@ -159,10 +202,10 @@ def test_monotonicity_and_strong_subadditivity():
         pc.CompactSet(pc.dyadic_shell(lo, 2), None),
         Resolution(level=2),
     )
-    coll = build_collocation(master, lo)
+    coll = build_collocation(master)
     masks = _family_masks(master, lo)
     vals = {
-        k: capacity(subcloud(master, m), lo, collocation=coll).value
+        k: capacity(subcloud(master, m), collocation=coll).value
         for k, m in masks.items()
     }
     # nested pairs never invert beyond the potential tolerance
@@ -172,8 +215,8 @@ def test_monotonicity_and_strong_subadditivity():
     for a, b in (("tube", "slab"), ("ballS", "wedge"), ("ballL", "slab")):
         mu_ = masks[a] | masks[b]
         mi = masks[a] & masks[b]
-        vu = capacity(subcloud(master, mu_), lo, collocation=coll).value
-        vi = capacity(subcloud(master, mi), lo, collocation=coll).value if mi.any() else 0.0
+        vu = capacity(subcloud(master, mu_), collocation=coll).value
+        vi = capacity(subcloud(master, mi), collocation=coll).value if mi.any() else 0.0
         bound = vals[a] + vals[b]
         assert vu + vi <= bound + 1e-3 * bound + 1e-9
 
@@ -184,10 +227,10 @@ def test_appell_invariance_of_shell_capacity():
         up = pc.upper_context(dim)
         lo = up.mirror()
         vu = capacity_of_region(
-            pc.CompactSet(pc.dyadic_shell(up, 2), None), up
+            pc.CompactSet(pc.dyadic_shell(up, 2), None)
         ).value
         vl = capacity_of_region(
-            pc.CompactSet(pc.dyadic_shell(lo, 2), None), lo
+            pc.CompactSet(pc.dyadic_shell(lo, 2), None)
         ).value
         assert abs(vu - vl) <= 0.05 * vl
 
@@ -202,9 +245,9 @@ def test_appell_invariance_of_box_capacity():
     up = lo.mirror()
     box = Intersection([SpaceBall([0.1], 1.2), TimeSlab(-2.5, -0.6)])
     host_lo = HeatBall(lo, -0.25, 4.0)
-    vl = capacity_of_region(CompactSet(host_lo, box), lo, levels=(0, 1, 2)).value
+    vl = capacity_of_region(CompactSet(host_lo, box), levels=(0, 1, 2)).value
     vu = capacity_of_region(
-        CompactSet(host_lo.appell_image(), AppellImage(box)), up, levels=(0, 1, 2)
+        CompactSet(host_lo.appell_image(), AppellImage(box)), levels=(0, 1, 2)
     ).value
     assert abs(vu - vl) <= 0.05 * vl
 
@@ -215,10 +258,10 @@ def test_classical_cross_check_two_paths():
     lo = pc.lower_context(1)
     up = lo.mirror()
     direct = capacity_of_region(
-        pc.CompactSet(pc.dyadic_shell(lo, 1), None), lo
+        pc.CompactSet(pc.dyadic_shell(lo, 1), None)
     ).value
     pulled = capacity_of_region(
-        pc.CompactSet(pc.dyadic_shell(up, 1), None), up
+        pc.CompactSet(pc.dyadic_shell(up, 1), None)
     ).value
     assert abs(direct - pulled) <= 0.03 * direct
 
@@ -229,11 +272,11 @@ def test_smoothed_reduction_profile():
     compact = pc.CompactSet(shell, None)
     cloud = discretize(compact, Resolution(level=2))
     tol = 0.025
-    res = capacity(cloud, lo)
+    res = capacity(cloud)
 
     lo_t, hi_t = shell.time_window
     span = hi_t - lo_t
-    assert smoothed_reduction_on_compact(res, pc.point([0.0], lo_t - 3.0), lo) == 0.0
+    assert potential(res.capacitary, pc.point([0.0], lo_t - 3.0), lo) == 0.0
 
     mid = (cloud.ts > lo_t + 0.3 * span) & (cloud.ts < hi_t - 0.3 * span)
     pots = potential_batch(res.capacitary, cloud.xs[mid], cloud.ts[mid], lo)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import parcap.cli as cli
+import parcap.wiener as wiener
 from parcap.appell import IdentityResidual
 from parcap.capacity import CapacityResult
 from parcap.geometry import Resolution
@@ -123,7 +124,7 @@ def test_capacity_task(tmp_path):
 def test_capacity_exit_status_follows_certificates(
     tmp_path, monkeypatch, max_pot, probe_max, converged, status
 ):
-    def fake_capacity_of_region(compact, ctx, **kwargs):
+    def fake_capacity_of_region(compact, **kwargs):
         return CapacityResult(
             value=1.0,
             capacitary=DiscreteMeasure(np.zeros((1, 1)), np.array([-1.0]), np.ones(1)),
@@ -235,3 +236,188 @@ def test_appell_check_fails_without_step_halving_decay(tmp_path, monkeypatch):
     assert transfer["halving_ratio"] == 1.0
     assert transfer["residual"] <= transfer["threshold"]
     assert report["all_passed"] is False
+
+
+# One small config per task, and the nested keys of its JSON report ("a.b"
+# for nested objects, "a[].b" for objects in lists) and its CSV header.
+_CTX_LO = {"dim": 1, "gamma": [0.0], "half_space": "lower"}
+REPORT_KEYS_CASES = {
+    "capacity": (
+        {"context": _CTX_LO, "task": "capacity", "seed": 1,
+         "parameters": {"shell": {"kind": "dyadic", "n": 0}, "levels": [0],
+                        "resolution": {"base_time": 6, "base_radial": 2}}},
+        {"comp_slack_residual", "context", "context.dim", "context.gamma",
+         "context.half_space", "converged", "criterion", "diagnostics",
+         "diagnostics.n_candidates", "diagnostics.n_collocation", "diagnostics.n_nodes",
+         "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
+         "measure.masses", "measure.nodes_t", "measure.nodes_x", "probe_max_potential",
+         "rel_stall", "resolution", "resolution.level", "resolution.n_angular",
+         "resolution.n_polar", "resolution.n_radial", "resolution.n_time", "seed",
+         "shell_time_window", "task", "tolerance", "tool_version", "value"},
+        ("capacity_measure.csv", "x1,t,mass"),
+    ),
+    "series": (
+        SERIES_CFG,
+        {"confidence", "context", "context.dim", "context.gamma", "context.half_space",
+         "criterion", "diagnostics", "diagnostics.n_terms", "diagnostics.reason", "kind",
+         "lambda", "orientation", "partial_sums", "policy", "policy.eps_slope",
+         "policy.curvature_tol", "policy.min_terms", "policy.rho_max", "policy.window",
+         "policy.zero_floor",
+         "refinement_levels", "rel_stall", "seed", "task", "terms", "terms[].capacity",
+         "terms[].converged", "terms[].level", "terms[].n", "terms[].n_nodes", "terms[].term",
+         "terms[].time_window", "terms[].weight", "tolerance", "tool_version", "verdict"},
+        ("series_table.csv", "n,capacity,term,partial_sum"),
+    ),
+    "simulate": (
+        {"context": _CTX_LO, "task": "simulate", "seed": 11,
+         "parameters": {"start": {"x": [0.0], "t": -1.0}, "grid": {"t_end": -50.0, "ratio": 0.8},
+                        "n_paths": 50, "region": {"kind": "full"}, "deltas": [-10.0, -40.0]}},
+        {"context", "context.dim", "context.gamma", "context.half_space", "criterion",
+         "estimate", "estimate.ci_high", "estimate.ci_low", "estimate.deltas",
+         "estimate.diagnostics", "estimate.diagnostics.n_grid_in_tightest",
+         "estimate.diagnostics.tight_halfwidth", "estimate.frequencies",
+         "estimate.grid_times", "estimate.n_paths", "estimate.verdict", "grid",
+         "grid.n_times", "grid.ratio", "grid.t_end", "grid.t_start", "n_paths", "seed", "task",
+         "tool_version"},
+        ("simulate_paths.csv", "path,t,x1"),
+    ),
+    "mean_value": (
+        {"context": {"dim": 1, "gamma": [1.0], "half_space": "upper"}, "task": "mean-value",
+         "parameters": {"u": {"kind": "caloric_quadratic"}, "c": 1.0}},
+        {"abs_error", "c", "center_value", "context", "context.dim", "context.gamma",
+         "context.half_space", "criterion", "seed", "task", "time_center", "time_window",
+         "tolerance", "tool_version", "value"},
+        ("mean_value_table.csv", "c,value,center_value,abs_error"),
+    ),
+    "harnack": (
+        {"context": _CTX_LO, "task": "harnack",
+         "parameters": {"u": {"kind": "one"}, "c_values": [0.5, 1.0]}},
+        {"context", "context.dim", "context.gamma", "context.half_space", "criterion",
+         "max_ratio", "results", "results[].average", "results[].c", "results[].infimum",
+         "results[].ratio", "seed", "task", "time_center", "tool_version"},
+        ("harnack_table.csv", "c,average,infimum,ratio"),
+    ),
+    "appell_check": (
+        {"context": {"dim": 1, "gamma": [0.5], "half_space": "upper"}, "task": "appell-check",
+         "seed": 77, "parameters": {"n_points": 50, "step": 5e-3}},
+        {"all_passed", "checks", "checks[].halving_ratio", "checks[].halving_threshold",
+         "checks[].name", "checks[].residual", "checks[].threshold", "context", "context.dim",
+         "context.gamma", "context.half_space", "criterion", "n_points", "seed", "step", "task",
+         "tool_version"},
+        ("appell_check_table.csv", "check,residual,threshold"),
+    ),
+}
+
+
+def _key_paths(obj, prefix=""):
+    if isinstance(obj, dict):
+        out = set()
+        for k, v in obj.items():
+            p = f"{prefix}.{k}" if prefix else k
+            out |= {p} | _key_paths(v, p)
+        return out
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, prefix + "[]") for v in obj))
+    return set()
+
+
+@pytest.mark.parametrize("stem", sorted(REPORT_KEYS_CASES))
+def test_report_keys(tmp_path, stem):
+    cfg, keys, (csv_name, header) = REPORT_KEYS_CASES[stem]
+    out = tmp_path / stem
+    assert run(["run", write_config(tmp_path, cfg), "--out", out]) in (0, 2)
+    report = json.loads((out / f"{stem}_report.json").read_text())
+    assert _key_paths(report) == keys
+    assert sorted(p.name for p in out.glob("*.csv")) == [csv_name]
+    assert (out / csv_name).read_text().splitlines()[0] == header
+
+
+@pytest.mark.parametrize("stem", ["capacity", "mean_value", "harnack"])
+def test_csv_cells_are_plain_numbers(tmp_path, stem):
+    cfg, _, (csv_name, _) = REPORT_KEYS_CASES[stem]
+    out = tmp_path / stem
+    run(["run", write_config(tmp_path, cfg), "--emit", "csv", "--out", out])
+    for line in (out / csv_name).read_text().splitlines()[1:]:
+        assert all(np.isfinite(float(cell)) for cell in line.split(","))
+
+
+def _fake_result():
+    return CapacityResult(
+        value=0.0,
+        capacitary=DiscreteMeasure.empty(1),
+        max_potential=0.0,
+        min_potential_on_nodes=0.0,
+        probe_max_potential=0.0,
+        comp_slack_residual=0.0,
+        duality_gap=0.0,
+        resolution=Resolution(),
+        converged=True,
+    )
+
+
+def test_series_task_passes_its_seed_to_the_probe(tmp_path, monkeypatch):
+    seeds = []
+
+    def fake_capacity_of_region(compact, **kwargs):
+        seeds.append(kwargs.get("probe_seed"))
+        return _fake_result()
+
+    monkeypatch.setattr(wiener, "capacity_of_region", fake_capacity_of_region)
+    cfg = write_config(tmp_path, SERIES_CFG)
+    assert run(["run", cfg, "--seed", 7, "--out", tmp_path / "s"]) == 0
+    assert seeds == [7] * 7
+
+
+@pytest.mark.parametrize("task_cfg", [CAPACITY_CFG, SERIES_CFG], ids=["capacity", "series"])
+@pytest.mark.parametrize("levels", [[], "012", [-1], [0, 1.0], [True]])
+def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
+    cfg = json.loads(json.dumps(task_cfg))
+    cfg["parameters"]["levels"] = levels
+    assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "/parameters/levels" in err
+    assert "Traceback" not in err and "/run" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, pointer",
+    [
+        ("resolution", {"base_time": 6, "level": 2}, "/parameters/resolution/level"),
+        ("resolution", {"base_radial": 2.0}, "/parameters/resolution/base_radial"),
+        ("resolution", {"base_time": "6"}, "/parameters/resolution/base_time"),
+        ("resolution", [6, 2], "/parameters/resolution"),
+        ("policy", {"window": 4, "zero_floor": 0.0}, "/parameters/policy/zero_floor"),
+        ("policy", {"rho_max": "0.8"}, "/parameters/policy/rho_max"),
+        ("policy", {"min_terms": True}, "/parameters/policy/min_terms"),
+        ("tol", "1e-3", "/parameters/tol"),
+    ],
+)
+def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
+    cfg = json.loads(json.dumps(SERIES_CFG))
+    cfg["parameters"][key] = value
+    assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    assert pointer in capsys.readouterr().err
+
+
+def test_settings_reach_the_solver(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_capacity_of_region(compact, **kwargs):
+        calls.append(kwargs)
+        return _fake_result()
+
+    monkeypatch.setattr(wiener, "capacity_of_region", fake_capacity_of_region)
+    cfg = json.loads(json.dumps(SERIES_CFG))
+    cfg["parameters"].update({
+        "levels": [1, 3], "tol": 0.01, "resolution": {"base_time": 5, "base_polar": 2},
+        "policy": {"rho_max": 1, "window": 4},
+    })
+    out = tmp_path / "s"
+    assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+    assert calls[0] == {
+        "levels": [1, 3], "tol": 0.01, "rel_stall": 0.02, "probe_seed": 4242,
+        "base_resolution": Resolution(base_time=5, base_polar=2),
+    }
+    report = json.loads((out / "series_report.json").read_text())
+    assert report["policy"]["rho_max"] == 1.0 and report["policy"]["window"] == 4
+    assert report["policy"]["eps_slope"] == 0.05
