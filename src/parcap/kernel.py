@@ -314,9 +314,8 @@ def kernel_ratio_matrix(
 
     dt = zt[:, None] - wt[None, :]
     pos = dt > TIME_EPS
-    out = np.zeros(dt.shape)
     if not np.any(pos):
-        return out
+        return np.zeros(dt.shape)
 
     uz = zx - ctx.axis(zt)  # (nz, N)
     uw = wx - ctx.axis(wt)  # (nw, N)
@@ -325,18 +324,25 @@ def kernel_ratio_matrix(
         uz = uz / (2.0 * zt[:, None])
         uw = uw / (2.0 * wt[:, None])
         gap = dt / (4.0 * zt[:, None] * wt[None, :])
-    # |uz - uw|^2 expanded to avoid forming an (nz, nw, N) array
-    sq = (
-        np.sum(uz**2, axis=1)[:, None]
-        - 2.0 * (uz @ uw.T)
-        + np.sum(uw**2, axis=1)[None, :]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = -0.5 * ctx.dim * np.log(4.0 * np.pi * gap) - sq / (4.0 * gap)
-
-    log_r = np.where(pos, log_r, -np.inf)
+    # one scratch matrix, reused in place: |uz - uw|^2 expanded to avoid
+    # forming an (nz, nw, N) array, then the log ratio, then its exp
+    sq = uz @ uw.T
+    sq *= 2.0
+    np.subtract(np.sum(uz**2, axis=1)[:, None], sq, out=sq)
+    sq += np.sum(uw**2, axis=1)[None, :]
+    # gap is a fresh matrix either way; 4 gap, then 4 pi gap, in place
+    gap *= 4.0
+    # entries off the causal mask may turn inf or nan here; exp skips them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq /= gap
+        gap *= np.pi
+        np.log(gap, out=gap, where=pos)
+        gap *= -0.5 * ctx.dim
+        gap -= sq
+    out = sq
+    out.fill(0.0)
     with np.errstate(under="ignore"):
-        out = np.exp(log_r)
+        np.exp(gap, out=out, where=pos)
     # entries this small are numerically dead columns for the capacity solver
     out[out < 1e-300] = 0.0
     return out
