@@ -13,7 +13,7 @@ import parcap as pc
 from parcap.regions import Intersection, PowerProfile, SpaceBall, TimeSlab, Tube
 
 lo = pc.lower_context(1)
-FAST = dict(n_range=range(2, 11), levels=(0, 1), rel_stall=0.03)
+FAST = dict(n_range=range(2, 11), refinement=pc.Refinement(levels=(0, 1), tol=1e-2, rel_stall=0.03))
 
 tube = Tube(PowerProfile(1.5, 0.5))           # |x| <= 1.5 sqrt(|t|)
 box = Intersection([SpaceBall([0.0], 2.0), TimeSlab(-6.0, -1.0)])
@@ -28,7 +28,7 @@ for name, region in (("paraboloid tube", tube), ("far box", box)):
 
 # the level-shell variant re-indexes the same dichotomy for any lambda > 1
 for lam in (1.5, 2.0):
-    rep = pc.lambda_series_terms(tube, lo, lam, n_range=range(3, 11), levels=(0, 1), rel_stall=0.03)
+    rep = pc.lambda_series_terms(tube, lo, lam, n_range=range(3, 11), refinement=FAST["refinement"])
     print(f"lambda={lam}: verdict={rep.verdict.value} terms={[round(t.term, 3) for t in rep.terms]}")
 
 # half-space duality: the image region in the upper half-space gets the same

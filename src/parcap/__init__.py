@@ -68,6 +68,7 @@ from .geometry import (
 )
 from .capacity import (
     CapacityResult,
+    Refinement,
     SolverFailure,
     build_collocation,
     capacity,

@@ -19,7 +19,8 @@ slackness residual and the duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from numbers import Integral
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -31,6 +32,7 @@ from .measures import DiscreteMeasure
 __all__ = [
     "DiscreteMeasure",
     "CapacityResult",
+    "Refinement",
     "SolverFailure",
     "potential",
     "potential_batch",
@@ -41,6 +43,24 @@ __all__ = [
 
 # probe cloud seed of a solve that is given none
 PROBE_SEED = 74321
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """The levels a capacity solve runs on ``resolution``, in order, and the
+    certificate ``tol`` and relative ``rel_stall`` that settle its value."""
+
+    levels: tuple[int, ...] = (0, 1, 2)
+    tol: float = 1e-3
+    rel_stall: float = 0.02
+    resolution: Resolution = Resolution()
+
+    def __post_init__(self):
+        levels = tuple(self.levels)
+        if not levels or any(isinstance(v, bool) or not isinstance(v, Integral) or v < 0
+                             for v in levels):
+            raise ValueError(f"levels must be a non-empty sequence of integers >= 0: {levels}")
+        object.__setattr__(self, "levels", levels)
 
 
 class SolverFailure(RuntimeError):
@@ -56,7 +76,6 @@ class CapacityResult:
     value: float
     capacitary: DiscreteMeasure
     max_potential: float          # certified sup over the collocation cloud
-    min_potential_on_nodes: float
     probe_max_potential: float    # sup over the fresh random probe cloud
     comp_slack_residual: float
     duality_gap: float
@@ -224,7 +243,6 @@ def capacity(
             value=0.0,
             capacitary=DiscreteMeasure.empty(cloud.dim),
             max_potential=0.0,
-            min_potential_on_nodes=0.0,
             probe_max_potential=0.0,
             comp_slack_residual=0.0,
             duality_gap=0.0,
@@ -281,7 +299,6 @@ def capacity(
     mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
 
     pots = A @ scaled_m
-    node_pots = pots[: len(cloud)]
 
     y = -np.asarray(res.ineqlin.marginals, dtype=float) * c_scale
     y = np.maximum(y, 0.0)
@@ -301,7 +318,6 @@ def capacity(
         value=value,
         capacitary=mu,
         max_potential=float(np.max(pots)),
-        min_potential_on_nodes=float(np.min(node_pots)),
         probe_max_potential=probe_max,
         comp_slack_residual=comp_slack,
         duality_gap=gap,
@@ -319,28 +335,22 @@ def capacity(
 def capacity_of_region(
     compact: CompactSet,
     *,
-    levels: Sequence[int] = (0, 1, 2, 3),
-    rel_stall: float = 0.02,
-    tol: float = 1e-3,
-    base_resolution: Resolution = Resolution(),
+    refinement: Refinement = Refinement(),
     probe_seed: int = PROBE_SEED,
 ) -> CapacityResult:
     """Capacity through a refining node-cloud sequence, in the set's context.
 
     Reports convergence once two successive values agree within rel_stall
-    AND the result is certified at that level; if the level budget runs out
-    first the result carries converged False with the bracketing values in
-    its history.  An empty intersection certifies as zero once two
-    consecutive levels emit no nodes.  An empty ``levels`` is a ValueError.
+    AND the result is certified at tol at that level; if the level budget
+    runs out first the result carries converged False with the bracketing
+    values in its history.  An empty intersection certifies as zero once two
+    consecutive levels emit no nodes.
     """
-    levels = tuple(levels)
-    if not levels:
-        raise ValueError("levels must name at least one refinement level")
     history: list[tuple[int, float]] = []
     last: Optional[CapacityResult] = None
     empty_streak = 0
-    for lv in levels:
-        resolution = replace(base_resolution, level=lv)
+    for lv in refinement.levels:
+        resolution = replace(refinement.resolution, level=lv)
         cloud = discretize(compact, resolution)
         if cloud.is_empty:
             empty_streak += 1
@@ -359,7 +369,6 @@ def capacity_of_region(
                 value=exc.best_value,
                 capacitary=DiscreteMeasure.empty(cloud.dim),
                 max_potential=np.inf,
-                min_potential_on_nodes=0.0,
                 probe_max_potential=np.inf,
                 comp_slack_residual=np.inf,
                 duality_gap=np.inf,
@@ -371,9 +380,9 @@ def capacity_of_region(
         history.append((lv, result.value))
         prev = history[-2][1] if len(history) >= 2 else None
         if prev is not None and prev > 0.0:
-            stalled = abs(result.value - prev) <= rel_stall * max(result.value, 1e-300)
+            stalled = abs(result.value - prev) <= refinement.rel_stall * max(result.value, 1e-300)
             # an uncertified level has not converged yet
-            if stalled and result.certified(tol):
+            if stalled and result.certified(refinement.tol):
                 return replace(result, history=tuple(history), converged=True)
         last = result
     return replace(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .appell import AppellDirection, appell_map_arrays, appell_transform, verify_h_identities
 from .averaging import QuadratureSpec, harnack_check, mean_value
-from .capacity import capacity_of_region
+from .capacity import Refinement, capacity_of_region
 from .geometry import (
     CompactSet,
     HeatBall,
@@ -41,7 +43,7 @@ from .kernel import (
 )
 from .regions import Region, region_from_json
 from .reporting import dump_csv, dump_json, to_jsonable
-from .wiener import ClassifyPolicy, Verdict, lambda_series_terms, series_terms
+from .wiener import DYADIC_RANGE, ClassifyPolicy, Verdict, lambda_series_terms, series_terms
 
 CRITERION_TEXT = (
     "sum over n of weight(n) * capacity(complement intersect shell(n)):"
@@ -53,12 +55,16 @@ CRITERION_TEXT = (
 
 # smallest shrink factor of the operator-transfer residual under step halving
 HALVING_MIN = 3.0
+NUMBER = (int, float)
 
-# refinement settings of the capacity and series tasks when a config sets none
-SOLVE_DEFAULTS = {"levels": [0, 1, 2], "tol": 1e-3, "rel_stall": 0.02}
-# the config keys of each dataclass the parameters may set
-RESOLUTION_KEYS = ("base_time", "base_radial", "base_angular", "base_polar")
-POLICY_KEYS = ("eps_slope", "rho_max", "window", "min_terms")
+# the config keys of each settings dataclass
+CONFIG_KEYS = {
+    Refinement: ("levels", "tol", "rel_stall", "resolution"),
+    Resolution: ("base_time", "base_radial", "base_angular", "base_polar"),
+    ClassifyPolicy: ("eps_slope", "rho_max", "window", "min_terms"),
+    QuadratureSpec: ("tol",),
+    GridPolicy: ("t_end", "ratio"),
+}
 
 
 class ConfigError(ValueError):
@@ -75,35 +81,44 @@ def _err(errors, pointer, message):
     errors.append(f"{pointer}: {message}")
 
 
-def _get(obj, key, pointer, errors, required=True, types=None, choices=None, default=None):
+def _typed(val, types) -> bool:
+    # no config value is a bool, so true and false are no numbers either
+    return isinstance(val, types) and not isinstance(val, bool)
+
+
+def _get(obj, key, pointer, errors, required=True, types=None, choices=None, default=None,
+         items=None, least=None):
+    """obj[key] if it is of types, its items of items, among choices and at
+    least `least`, as given; else default, after an error at pointer/key."""
     if key not in obj:
         if required:
             _err(errors, f"{pointer}/{key}", "missing required field")
         return default
     val = obj[key]
-    if types is not None and not isinstance(val, types):
+    if types is not None and not _typed(val, types):
         _err(errors, f"{pointer}/{key}", f"expected {types}, got {type(val).__name__}")
-        return default
-    if choices is not None and val not in choices:
+    elif items is not None and not all(_typed(v, items) for v in val):
+        _err(errors, f"{pointer}/{key}", f"expected a list of {items}, got {val!r}")
+    elif choices is not None and val not in choices:
         _err(errors, f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {val!r}")
-        return default
-    return val
+    elif least is not None and val < least:
+        _err(errors, f"{pointer}/{key}", f"must be >= {least}, got {val}")
+    else:
+        return val
+    return default
 
 
 def _parse_context(cfg, errors) -> PoleContext | None:
     ctx_obj = _get(cfg, "context", "", errors, types=dict)
     if ctx_obj is None:
         return None
-    dim = _get(ctx_obj, "dim", "/context", errors, types=int)
-    gamma = _get(ctx_obj, "gamma", "/context", errors, required=False, types=list)
+    dim = _get(ctx_obj, "dim", "/context", errors, types=int, least=1)
+    gamma = _get(ctx_obj, "gamma", "/context", errors, required=False, types=list, items=NUMBER)
     hs = _get(
         ctx_obj, "half_space", "/context", errors, types=str,
         choices={"upper", "lower"},
     )
     if errors or dim is None or hs is None:
-        return None
-    if dim < 1:
-        _err(errors, "/context/dim", "must be >= 1")
         return None
     g = np.zeros(dim) if gamma is None else np.asarray(gamma, dtype=float)
     if g.shape != (dim,):
@@ -125,59 +140,51 @@ def _parse_region(params, key, pointer, errors, required=False) -> Region | None
         return None
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_number(val) -> bool:
-    return _is_int(val) or isinstance(val, float)
-
-
-def _parse_fields(cls, obj, keys, pointer, errors):
-    """cls from the config object at pointer: each key one of keys, with a
-    value of its default's type; the fields the object leaves out keep their
-    defaults."""
-    if obj is None:
-        return cls()
+def _parse_fields(cls, obj, pointer, errors, **given):
+    """cls from the config object at pointer and the fields in given: each
+    key one of the class's CONFIG_KEYS, with a value of its field's type; the
+    fields the object leaves out keep their defaults.  A value the class
+    rejects is an error at the key its message names first.  None after an
+    error."""
+    obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         _err(errors, pointer, f"expected an object, got {type(obj).__name__}")
-        return cls()
-    defaults = cls()
-    kwargs = {}
+        return None
+    hints = typing.get_type_hints(cls)
+    n_errors = len(errors)
     for key, val in obj.items():
-        want = type(getattr(defaults, key, None))
-        if key not in keys:
-            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {list(keys)}")
-        elif want is int and _is_int(val):
-            kwargs[key] = val
-        elif want is float and _is_number(val):
-            kwargs[key] = float(val)
+        hint = hints[key] if key in CONFIG_KEYS[cls] else None
+        if hint is None:
+            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {CONFIG_KEYS[cls]}")
+        elif hint in (int, float) and _typed(val, (int, hint)):
+            given[key] = hint(val)
+        elif hint == tuple[int, ...] and isinstance(val, list):
+            given[key] = tuple(val)
+        elif is_dataclass(hint):
+            given[key] = _parse_fields(hint, val, f"{pointer}/{key}", errors)
         else:
-            _err(errors, f"{pointer}/{key}", f"expected {want.__name__}, got {val!r}")
+            want = {int: "an integer", float: "a number"}.get(hint, "a list")
+            _err(errors, f"{pointer}/{key}", f"expected {want}, got {val!r}")
+    if len(errors) > n_errors:
+        return None
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        _err(errors, pointer, str(exc))
-        return cls()
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        key = str(exc).split()[0]
+        _err(errors, f"{pointer}/{key}" if key in obj else pointer, str(exc))
+        return None
 
 
-def _parse_solve(params, errors) -> dict:
-    """The capacity_of_region keywords the capacity and series tasks share."""
-    solve = {k: params.get(k, v) for k, v in SOLVE_DEFAULTS.items()}
-    levels = solve["levels"]
-    if not (isinstance(levels, list) and levels
-            and all(_is_int(v) and v >= 0 for v in levels)):
-        _err(errors, "/parameters/levels",
-             f"expected a non-empty list of integers >= 0, got {levels!r}")
-    for key in ("tol", "rel_stall"):
-        if not _is_number(solve[key]):
-            _err(errors, f"/parameters/{key}", f"expected a number, got {solve[key]!r}")
-        else:
-            solve[key] = float(solve[key])
-    solve["base_resolution"] = _parse_fields(
-        Resolution, params.get("resolution"), RESOLUTION_KEYS, "/parameters/resolution", errors
-    )
-    return solve
+def _settings(cls, params, errors):
+    """cls from its keys among the task parameters."""
+    own = {k: v for k, v in params.items() if k in CONFIG_KEYS[cls]}
+    return _parse_fields(cls, own, "/parameters", errors)
+
+
+def _time_center(params, ctx, errors) -> float:
+    """The configured time centre, or the context's default one."""
+    tc = _get(params, "time_center", "/parameters", errors, required=False, types=NUMBER)
+    return default_time_center(ctx) if tc is None else float(tc)
 
 
 # CSV files not named <stem>_table.csv
@@ -242,8 +249,8 @@ def _audit(ctx, seed, extra):
 def _run_capacity(ctx, params, seed, out, emit, errors):
     shell_obj = _get(params, "shell", "/parameters", errors, types=dict)
     region = _parse_region(params, "region", "/parameters", errors)
-    solve = _parse_solve(params, errors)
-    tc = params.get("time_center")
+    refinement = _settings(Refinement, params, errors)
+    t0 = _time_center(params, ctx, errors)
     shell = None
     if shell_obj is not None:
         kind = _get(shell_obj, "kind", "/parameters/shell", errors, types=str,
@@ -251,21 +258,20 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
         if kind == "dyadic":
             n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
             if n is not None:
-                shell = dyadic_shell(ctx, n, tc)
+                shell = dyadic_shell(ctx, n, t0)
         elif kind == "lambda":
-            lam = _get(shell_obj, "lam", "/parameters/shell", errors, types=(int, float))
+            lam = _get(shell_obj, "lam", "/parameters/shell", errors, types=NUMBER)
             n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
             if lam is not None and n is not None:
-                shell = level_shell(ctx, float(lam), n, tc)
+                shell = level_shell(ctx, float(lam), n, t0)
         elif kind == "ball":
-            sc = _get(shell_obj, "scale", "/parameters/shell", errors, types=(int, float))
+            sc = _get(shell_obj, "scale", "/parameters/shell", errors, types=NUMBER)
             if sc is not None:
-                t0 = tc if tc is not None else default_time_center(ctx)
-                shell = HeatBall(ctx, float(t0), float(sc))
+                shell = HeatBall(ctx, t0, float(sc))
     if errors:
         raise ConfigError(errors)
 
-    result = capacity_of_region(CompactSet(shell, region), **solve, probe_seed=seed)
+    result = capacity_of_region(CompactSet(shell, region), refinement=refinement, probe_seed=seed)
     mu = result.capacitary
     report = _audit(ctx, seed, {
         "task": "capacity",
@@ -275,8 +281,8 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
         "probe_max_potential": result.probe_max_potential,
         "comp_slack_residual": result.comp_slack_residual,
         "duality_gap": result.duality_gap,
-        "tolerance": solve["tol"],
-        "rel_stall": solve["rel_stall"],
+        "tolerance": refinement.tol,
+        "rel_stall": refinement.rel_stall,
         "history": result.history,
         "resolution": result.resolution.describe(),
         "shell_time_window": shell.time_window,
@@ -287,45 +293,40 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
           [f"x{i+1}" for i in range(ctx.dim)] + ["t", "mass"],
           np.column_stack([mu.xs, mu.ts, mu.masses]))
     # a measure that fails its own feasibility certificate is no capacity
-    return 0 if result.certified(solve["tol"]) else 2
+    return 0 if result.certified(refinement.tol) else 2
 
 
 def _run_series(ctx, params, seed, out, emit, errors):
     region = _parse_region(params, "region", "/parameters", errors, required=True)
     kind = _get(params, "kind", "/parameters", errors, required=False, types=str,
                 choices={"dyadic", "lambda"}) or "dyadic"
-    lam = params.get("lam")
-    if kind == "lambda" and not isinstance(lam, (int, float)):
-        _err(errors, "/parameters/lam", "lambda series needs a numeric 'lam' > 1")
-    solve = _parse_solve(params, errors)
-    policy = _parse_fields(
-        ClassifyPolicy, params.get("policy"), POLICY_KEYS, "/parameters/policy", errors
-    )
+    lam = _get(params, "lam", "/parameters", errors, required=kind == "lambda",
+               types=NUMBER)
+    n_min = _get(params, "n_min", "/parameters", errors, required=False, types=int,
+                 default=DYADIC_RANGE.start)
+    n_max = _get(params, "n_max", "/parameters", errors, required=False, types=int,
+                 default=DYADIC_RANGE.stop - 1)
+    refinement = _settings(Refinement, params, errors)
+    policy = _parse_fields(ClassifyPolicy, params.get("policy"), "/parameters/policy", errors)
     if errors:
         raise ConfigError(errors)
 
+    solve = {"refinement": refinement, "policy": policy, "probe_seed": seed}
     if kind == "dyadic":
-        n_min = int(params.get("n_min", 2))
-        n_max = int(params.get("n_max", 14))
-        report_obj = series_terms(
-            region, ctx, range(n_min, n_max + 1), policy=policy, probe_seed=seed, **solve
-        )
+        report_obj = series_terms(region, ctx, range(n_min, n_max + 1), **solve)
     else:
-        n_rng = None
-        if "n_min" in params and "n_max" in params:
-            n_rng = range(int(params["n_min"]), int(params["n_max"]) + 1)
-        report_obj = lambda_series_terms(
-            region, ctx, float(lam), n_rng, policy=policy, probe_seed=seed, **solve
-        )
+        # the lambda series picks its own shells unless both ends are given
+        n_rng = range(n_min, n_max + 1) if "n_min" in params and "n_max" in params else None
+        report_obj = lambda_series_terms(region, ctx, float(lam), n_rng, **solve)
 
     body = to_jsonable(report_obj)
     body["lambda"] = body.pop("lam")
     report = _audit(ctx, seed, {
         "task": "series",
         **body,
-        "tolerance": solve["tol"],
-        "rel_stall": solve["rel_stall"],
-        "refinement_levels": solve["levels"],
+        "tolerance": refinement.tol,
+        "rel_stall": refinement.rel_stall,
+        "refinement_levels": refinement.levels,
     })
     _emit(out, emit, "series", report, ["n", "capacity", "term", "partial_sum"], [
         [t.n, t.capacity, t.term, s]
@@ -335,22 +336,21 @@ def _run_series(ctx, params, seed, out, emit, errors):
 
 
 def _run_simulate(ctx, params, seed, out, emit, errors):
-    start_obj = _get(params, "start", "/parameters", errors, types=dict)
-    grid_obj = _get(params, "grid", "/parameters", errors, types=dict)
-    n_paths = _get(params, "n_paths", "/parameters", errors, types=int)
+    start_obj = _get(params, "start", "/parameters", errors, types=dict, default={})
+    x0 = _get(start_obj, "x", "/parameters/start", errors, types=list, items=NUMBER)
+    t0 = _get(start_obj, "t", "/parameters/start", errors, types=NUMBER)
+    grid = _parse_fields(GridPolicy, _get(params, "grid", "/parameters", errors, types=dict),
+                         "/parameters/grid", errors, t_start=None if t0 is None else float(t0))
+    n_paths = _get(params, "n_paths", "/parameters", errors, types=int, least=0)
     region = _parse_region(params, "region", "/parameters", errors)
-    deltas = params.get("deltas")
+    deltas = _get(params, "deltas", "/parameters", errors, required=False, types=list,
+                  items=NUMBER)
     if errors:
         raise ConfigError(errors)
     try:
-        start = point(np.asarray(start_obj["x"], dtype=float), float(start_obj["t"]))
-        grid = GridPolicy(
-            t_start=float(start_obj["t"]),
-            t_end=float(grid_obj["t_end"]),
-            ratio=float(grid_obj.get("ratio", 0.9)),
-        )
+        start = point(np.asarray(x0, dtype=float), float(t0))
         times = grid.times(ctx)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError([f"/parameters: {exc}"]) from exc
 
     ens = simulate(start, grid, n_paths, ctx, seed)
@@ -373,10 +373,10 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
 
 def _run_mean_value(ctx, params, seed, out, emit, errors):
     u_obj = _get(params, "u", "/parameters", errors, types=dict)
-    c = float(params.get("c", 1.0))
-    tc = params.get("time_center")
-    t0 = float(tc) if tc is not None else default_time_center(ctx)
-    quad = QuadratureSpec(tol=float(params.get("tol", 1e-3)))
+    c = float(_get(params, "c", "/parameters", errors, required=False, types=NUMBER,
+                   default=1.0))
+    t0 = _time_center(params, ctx, errors)
+    quad = _settings(QuadratureSpec, params, errors)
     if errors:
         raise ConfigError(errors)
     u, center_val = _named_field(u_obj, ctx, "/parameters/u", errors)
@@ -401,18 +401,23 @@ def _run_mean_value(ctx, params, seed, out, emit, errors):
 
 
 def _run_harnack(ctx, params, seed, out, emit, errors):
-    u_obj = params.get("u", {"kind": "one"})
-    c_values = params.get("c_values", [0.5, 1.0, 2.0])
-    tc = params.get("time_center")
-    t0 = float(tc) if tc is not None else default_time_center(ctx)
+    u_obj = _get(params, "u", "/parameters", errors, required=False, types=dict,
+                 default={"kind": "one"})
+    kind = _get(u_obj, "kind", "/parameters/u", errors, types=str,
+                choices={"one", "source_ratio"})
+    c_values = _get(params, "c_values", "/parameters", errors, required=False, types=list,
+                    items=NUMBER, default=[0.5, 1.0, 2.0])
+    if not c_values:
+        _err(errors, "/parameters/c_values", "expected at least one scale")
+    t0 = _time_center(params, ctx, errors)
+    quad = _settings(QuadratureSpec, params, errors)
     if errors:
         raise ConfigError(errors)
 
-    kind = u_obj.get("kind")
     c_max = max(float(c) for c in c_values)
     if kind == "one":
         u = lambda xs, ts: 1.0
-    elif kind == "source_ratio":
+    else:
         # the kernel ratio from a source below the largest double ball
         big = HeatBall(ctx, t0, 2.0 * c_max)
         lo, _ = big.time_window
@@ -421,10 +426,7 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
 
         def u(xs, ts):
             return kernel_ratio_matrix(xs, ts, src_x, src_t, ctx)[:, 0]
-    else:
-        raise ConfigError([f"/parameters/u/kind: unknown fixture {kind!r}"])
 
-    quad = QuadratureSpec(tol=float(params.get("tol", 1e-3)))
     results = []
     for c in map(float, c_values):
         res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx, quad=quad)
@@ -441,8 +443,10 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
 
 
 def _run_appell_check(ctx, params, seed, out, emit, errors):
-    n_points = int(params.get("n_points", 1000))
-    step = float(params.get("step", 5e-3))
+    n_points = _get(params, "n_points", "/parameters", errors, required=False, types=int,
+                    least=0, default=1000)
+    step = float(_get(params, "step", "/parameters", errors, required=False, types=NUMBER,
+                      default=5e-3))
     if errors:
         raise ConfigError(errors)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .kernel import DomainError, PoleContext, SpaceTimePoint, point
-from .regions import Region, TimeSlab, Intersection, register_region_kind
+from .regions import Region, TimeSlab, Intersection
 
 __all__ = [
     "HeatBall",
@@ -248,15 +248,6 @@ class HeatBallRegion(Region):
         }
 
 
-register_region_kind(
-    "heat_ball",
-    lambda obj: HeatBallRegion(
-        None if obj.get("time_center") is None else float(obj["time_center"]),
-        float(obj["scale"]),
-    ),
-)
-
-
 def harnack_region(time_center: float, c: float, ctx: PoleContext) -> Region:
     """Heat ball truncated above its lower portion, where the two-sided
     estimate holds: above, cuts below t0/(1 + 3 t0 c); below, cuts below
@@ -289,6 +280,9 @@ class Resolution:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("level must be >= 0")
+        for name in ("base_time", "base_radial", "base_angular", "base_polar"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def n_time(self) -> int:

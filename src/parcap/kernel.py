@@ -224,8 +224,7 @@ def h_pole(z: SpaceTimePoint, ctx: PoleContext) -> float:
     if not ctx.is_upper:
         raise DomainError("h_pole is an upper half-space function")
     _check_ctx_point(z, ctx)
-    sq = float(np.sum((z.x - ctx.gamma) ** 2))
-    return float(np.exp(log_heat_kernel(sq, z.t, ctx.dim)))
+    return float(np.exp(log_pole_weight(z.x[None, :], np.array([z.t]), ctx)[0]))
 
 
 def h_star(z: SpaceTimePoint, ctx: PoleContext) -> float:
@@ -237,8 +236,7 @@ def h_star(z: SpaceTimePoint, ctx: PoleContext) -> float:
     if not ctx.is_upper:
         raise DomainError("h_star is an upper half-space function")
     _check_ctx_point(z, ctx)
-    sq = float(np.sum((z.x - ctx.gamma) ** 2))
-    return float(np.exp(0.5 * ctx.dim * np.log(np.pi / z.t) + sq / (4.0 * z.t)))
+    return float(np.exp(log_pole_weight_star(z.x[None, :], np.array([z.t]), ctx)[0]))
 
 
 def h_tilde(w: SpaceTimePoint, ctx: PoleContext) -> float:
@@ -246,8 +244,7 @@ def h_tilde(w: SpaceTimePoint, ctx: PoleContext) -> float:
     if ctx.is_upper:
         raise DomainError("h_tilde is a lower half-space function")
     _check_ctx_point(w, ctx)
-    g = ctx.gamma
-    return float(np.exp(np.dot(w.x, g) + np.dot(g, g) * w.t))
+    return float(np.exp(log_pole_weight(w.x[None, :], np.array([w.t]), ctx)[0]))
 
 
 def h_tilde_star(w: SpaceTimePoint, ctx: PoleContext) -> float:
@@ -255,8 +252,7 @@ def h_tilde_star(w: SpaceTimePoint, ctx: PoleContext) -> float:
     if ctx.is_upper:
         raise DomainError("h_tilde_star is a lower half-space function")
     _check_ctx_point(w, ctx)
-    g = ctx.gamma
-    return float(np.exp(-np.dot(w.x, g) - np.dot(g, g) * w.t))
+    return float(np.exp(log_pole_weight_star(w.x[None, :], np.array([w.t]), ctx)[0]))
 
 
 def log_pole_weight(xs: np.ndarray, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "TableProfile",
     "tube_profile_from_csv",
     "region_from_json",
-    "register_region_kind",
 ]
 
 
@@ -336,15 +335,8 @@ class AppellImage(Region):
 
 
 # ---------------------------------------------------------------------------
-# JSON factory; extra kinds (e.g. heat balls) register themselves
+# JSON factory
 # ---------------------------------------------------------------------------
-
-_EXTRA_KINDS: dict[str, Callable[[dict], Region]] = {}
-
-
-def register_region_kind(kind: str, loader: Callable[[dict], Region]) -> None:
-    _EXTRA_KINDS[kind] = loader
-
 
 def region_from_json(obj: dict) -> Region:
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -370,6 +362,9 @@ def region_from_json(obj: dict) -> Region:
         return Complement(region_from_json(obj["child"]))
     if kind == "appell_image":
         return AppellImage(region_from_json(obj["child"]))
-    if kind in _EXTRA_KINDS:
-        return _EXTRA_KINDS[kind](obj)
+    if kind == "heat_ball":
+        from .geometry import HeatBallRegion
+
+        tc = obj.get("time_center")
+        return HeatBallRegion(None if tc is None else float(tc), float(obj["scale"]))
     raise ValueError(f"unknown region kind {kind!r}")

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import PROBE_SEED, capacity_of_region
-from .geometry import CompactSet, Resolution, dyadic_shell, level_shell
+from .capacity import PROBE_SEED, Refinement, capacity_of_region
+from .geometry import CompactSet, dyadic_shell, level_shell
 from .kernel import PoleContext
 from .regions import Region
 
@@ -42,6 +42,9 @@ __all__ = [
     "lambda_series_terms",
     "auto_level_range",
 ]
+
+# shell indices of a dyadic series that is given none
+DYADIC_RANGE = range(2, 15)
 
 
 class Verdict(Enum):
@@ -164,15 +167,18 @@ def _run_series(
     kind: str,
     lam: Optional[float],
     policy: ClassifyPolicy,
-    **solve,
+    refinement: Refinement,
+    probe_seed: int,
 ) -> SeriesReport:
-    """Solve each shell's capacity with the ``capacity_of_region`` keywords
-    in ``solve``, in the shell's own context, and classify the terms."""
+    """Solve each shell's capacity in the shell's own context and classify
+    the terms."""
     out_terms: list[ShellTerm] = []
     sums: list[float] = []
     total = 0.0
     for n, shell, weight in zip(ns, shells, weights):
-        result = capacity_of_region(CompactSet(shell, region), **solve)
+        result = capacity_of_region(
+            CompactSet(shell, region), refinement=refinement, probe_seed=probe_seed
+        )
         term = weight * result.value
         total += term
         sums.append(total)
@@ -206,11 +212,8 @@ def _run_series(
 def series_terms(
     region: Optional[Region],
     ctx: PoleContext,
-    n_range: Sequence[int] = range(2, 15),
-    levels: Sequence[int] = (0, 1, 2),
-    rel_stall: float = 0.02,
-    tol: float = 1e-2,
-    base_resolution: Resolution = Resolution(),
+    n_range: Sequence[int] = DYADIC_RANGE,
+    refinement: Refinement = Refinement(),
     policy: ClassifyPolicy = ClassifyPolicy(),
     time_center: float | None = None,
     probe_seed: int = PROBE_SEED,
@@ -225,8 +228,7 @@ def series_terms(
     shells = [dyadic_shell(ctx, n, time_center) for n in ns]
     weights = [2.0 ** (-0.5 * n * ctx.dim) for n in ns]
     return _run_series(
-        region, shells, weights, ns, "dyadic", None, policy, levels=levels,
-        rel_stall=rel_stall, tol=tol, base_resolution=base_resolution, probe_seed=probe_seed,
+        region, shells, weights, ns, "dyadic", None, policy, refinement, probe_seed
     )
 
 
@@ -253,10 +255,7 @@ def lambda_series_terms(
     ctx: PoleContext,
     lam: float,
     n_range: Optional[Sequence[int]] = None,
-    levels: Sequence[int] = (0, 1, 2),
-    rel_stall: float = 0.02,
-    tol: float = 1e-2,
-    base_resolution: Resolution = Resolution(),
+    refinement: Refinement = Refinement(),
     policy: ClassifyPolicy = ClassifyPolicy(),
     time_center: float | None = None,
     probe_seed: int = PROBE_SEED,
@@ -268,6 +267,5 @@ def lambda_series_terms(
     shells = [level_shell(ctx, lam, n, time_center) for n in ns]
     weights = [lam ** (-n) for n in ns]
     return _run_series(
-        region, shells, weights, ns, "lambda", lam, policy, levels=levels,
-        rel_stall=rel_stall, tol=tol, base_resolution=base_resolution, probe_seed=probe_seed,
+        region, shells, weights, ns, "lambda", lam, policy, refinement, probe_seed
     )

@@ -13,7 +13,7 @@ from scipy import stats
 import parcap as pc
 from parcap.appell import AppellDirection as D
 from parcap.averaging import harnack_check, mean_value, phi, phi_prime
-from parcap.capacity import build_collocation, capacity, capacity_of_region
+from parcap.capacity import Refinement, build_collocation, capacity, capacity_of_region
 from parcap.cli import main as cli_main
 from parcap.geometry import HeatBall, NodeCloud, Resolution, default_time_center, discretize
 from parcap.hbrownian import ClusterVerdict, GridPolicy, cluster_probability, simulate, transition_parameters
@@ -192,6 +192,7 @@ def test_criterion_4_capacity():
     start = time.perf_counter()
     lo = pc.lower_context(1)
     tol = 1e-3
+    deep = Refinement(levels=(0, 1, 2, 3), tol=tol)
 
     family = {
         "shell_n0": (0, None),
@@ -209,7 +210,7 @@ def test_criterion_4_capacity():
     for name, (n, reg) in family.items():
         t0 = time.perf_counter()
         res = capacity_of_region(
-            pc.CompactSet(pc.dyadic_shell(lo, n), reg), tol=tol
+            pc.CompactSet(pc.dyadic_shell(lo, n), reg), refinement=deep
         )
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
@@ -242,19 +243,20 @@ def test_criterion_4_capacity():
 
     # half-space exchange invariance of shell capacity at matched resolution
     worst_inv = 0.0
-    for dim, shells, kwargs in (
-        (1, (0, 2), {}),
-        (2, (0, 2), {"levels": (0, 1), "base_resolution": Resolution(base_time=10, base_radial=2)}),
+    for dim, shells, refinement in (
+        (1, (0, 2), deep),
+        (2, (0, 2), Refinement(levels=(0, 1), tol=tol,
+                               resolution=Resolution(base_time=10, base_radial=2))),
     ):
         up_d = pc.upper_context(dim)
         lo_d = up_d.mirror()
         for n in shells:
             t0 = time.perf_counter()
             vu = capacity_of_region(
-                pc.CompactSet(pc.dyadic_shell(up_d, n), None), tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(up_d, n), None), refinement=refinement
             ).value
             vl = capacity_of_region(
-                pc.CompactSet(pc.dyadic_shell(lo_d, n), None), tol=tol, **kwargs
+                pc.CompactSet(pc.dyadic_shell(lo_d, n), None), refinement=refinement
             ).value
             assert time.perf_counter() - t0 < 120.0
             rel = abs(vu - vl) / vl
@@ -295,12 +297,14 @@ def _series_results():
         return _cache["series"]
     lo = pc.lower_context(1)
     up = lo.mirror()
+    loose = Refinement(tol=1e-2)
     out = {"dyadic": {}, "dual": {}, "lambda": {}}
     for name, region in _series_fixtures(lo).items():
-        out["dyadic"][name] = series_terms(region, lo)
-        out["dual"][name] = series_terms(AppellImage(region), up)
+        out["dyadic"][name] = series_terms(region, lo, refinement=loose)
+        out["dual"][name] = series_terms(AppellImage(region), up, refinement=loose)
         out["lambda"][name] = {
-            lam: lambda_series_terms(region, lo, lam) for lam in (1.5, 2.0, 4.0)
+            lam: lambda_series_terms(region, lo, lam, refinement=loose)
+            for lam in (1.5, 2.0, 4.0)
         }
     _cache["series"] = out
     return out

@@ -3,6 +3,7 @@ import pytest
 
 import parcap as pc
 from parcap.capacity import (
+    Refinement,
     build_collocation,
     capacity,
     capacity_of_region,
@@ -77,7 +78,7 @@ def test_the_solve_takes_its_context_from_the_set():
 def test_capacity_of_region_rejects_empty_levels(levels):
     compact = pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None)
     with pytest.raises(ValueError, match="levels"):
-        capacity_of_region(compact, levels=levels)
+        capacity_of_region(compact, refinement=Refinement(levels=levels))
 
 
 @pytest.mark.parametrize(
@@ -90,7 +91,6 @@ def test_certified_needs_both_certificates(max_pot, probe_max, certified):
         value=1.0,
         capacitary=DiscreteMeasure.empty(1),
         max_potential=max_pot,
-        min_potential_on_nodes=1.0,
         probe_max_potential=probe_max,
         comp_slack_residual=0.0,
         duality_gap=0.0,
@@ -245,10 +245,8 @@ def test_appell_invariance_of_box_capacity():
     up = lo.mirror()
     box = Intersection([SpaceBall([0.1], 1.2), TimeSlab(-2.5, -0.6)])
     host_lo = HeatBall(lo, -0.25, 4.0)
-    vl = capacity_of_region(CompactSet(host_lo, box), levels=(0, 1, 2)).value
-    vu = capacity_of_region(
-        CompactSet(host_lo.appell_image(), AppellImage(box)), levels=(0, 1, 2)
-    ).value
+    vl = capacity_of_region(CompactSet(host_lo, box)).value
+    vu = capacity_of_region(CompactSet(host_lo.appell_image(), AppellImage(box))).value
     assert abs(vu - vl) <= 0.05 * vl
 
 

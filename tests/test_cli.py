@@ -7,8 +7,11 @@ import pytest
 import parcap.cli as cli
 import parcap.wiener as wiener
 from parcap.appell import IdentityResidual
-from parcap.capacity import CapacityResult
+from parcap.averaging import QuadratureSpec
+from parcap.capacity import CapacityResult, Refinement
 from parcap.geometry import Resolution
+from parcap.hbrownian import GridPolicy
+from parcap.kernel import lower_context
 from parcap.measures import DiscreteMeasure
 from parcap.cli import main
 
@@ -129,7 +132,6 @@ def test_capacity_exit_status_follows_certificates(
             value=1.0,
             capacitary=DiscreteMeasure(np.zeros((1, 1)), np.array([-1.0]), np.ones(1)),
             max_potential=max_pot,
-            min_potential_on_nodes=1.0,
             probe_max_potential=probe_max,
             comp_slack_residual=0.0,
             duality_gap=0.0,
@@ -346,7 +348,6 @@ def _fake_result():
         value=0.0,
         capacitary=DiscreteMeasure.empty(1),
         max_potential=0.0,
-        min_potential_on_nodes=0.0,
         probe_max_potential=0.0,
         comp_slack_residual=0.0,
         duality_gap=0.0,
@@ -390,13 +391,27 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("policy", {"rho_max": "0.8"}, "/parameters/policy/rho_max"),
         ("policy", {"min_terms": True}, "/parameters/policy/min_terms"),
         ("tol", "1e-3", "/parameters/tol"),
+        # "<task>.<key>" sets the key in that task's REPORT_KEYS_CASES config
+        ("series.n_min", 5.7, "/parameters/n_min"),
+        ("series.n_max", 11.2, "/parameters/n_max"),
+        ("mean_value.c", "1", "/parameters/c"),
+        ("mean_value.tol", "1e-3", "/parameters/tol"),
+        ("appell_check.n_points", "50", "/parameters/n_points"),
+        ("simulate.grid", {"t_end": -50.0, "ratio": "0.5"}, "/parameters/grid/ratio"),
+        ("simulate.n_paths", -5, "/parameters/n_paths"),
+        ("harnack.c_values", "abc", "/parameters/c_values"),
+        ("harnack.u", "one", "/parameters/u"),
+        ("capacity.resolution", {"base_time": 0}, "/parameters/resolution/base_time"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
-    cfg = json.loads(json.dumps(SERIES_CFG))
+    task, _, key = key.rpartition(".")
+    cfg = json.loads(json.dumps(REPORT_KEYS_CASES[task or "series"][0]))
     cfg["parameters"][key] = value
     assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
-    assert pointer in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert pointer in err
+    assert "Traceback" not in err and "/run" not in err
 
 
 def test_settings_reach_the_solver(tmp_path, monkeypatch):
@@ -415,9 +430,46 @@ def test_settings_reach_the_solver(tmp_path, monkeypatch):
     out = tmp_path / "s"
     assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
     assert calls[0] == {
-        "levels": [1, 3], "tol": 0.01, "rel_stall": 0.02, "probe_seed": 4242,
-        "base_resolution": Resolution(base_time=5, base_polar=2),
+        "refinement": Refinement(levels=(1, 3), tol=0.01, rel_stall=0.02,
+                                 resolution=Resolution(base_time=5, base_polar=2)),
+        "probe_seed": 4242,
     }
     report = json.loads((out / "series_report.json").read_text())
     assert report["policy"]["rho_max"] == 1.0 and report["policy"]["window"] == 4
     assert report["policy"]["eps_slope"] == 0.05
+
+
+def test_settings_left_out_take_the_library_defaults(tmp_path, monkeypatch):
+    refinements = []
+
+    def fake_capacity_of_region(compact, refinement, probe_seed):
+        refinements.append(refinement)
+        return _fake_result()
+
+    monkeypatch.setattr(cli, "capacity_of_region", fake_capacity_of_region)
+    monkeypatch.setattr(wiener, "capacity_of_region", fake_capacity_of_region)
+    grid = GridPolicy(t_start=-1.0, t_end=-50.0)
+    params = {
+        "capacity": {"shell": {"kind": "dyadic", "n": 0}},
+        "series": {"region": {"kind": "empty"}},
+        "mean_value": {"u": {"kind": "caloric_quadratic"}},
+        "simulate": {"start": {"x": [0.0], "t": grid.t_start}, "grid": {"t_end": grid.t_end},
+                     "n_paths": 10},
+    }
+    reports = {}
+    for stem, p in params.items():
+        cfg = {"context": _CTX_LO, "task": stem.replace("_", "-"), "parameters": p}
+        out = tmp_path / stem
+        assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        reports[stem] = json.loads((out / f"{stem}_report.json").read_text())
+
+    default = Refinement()
+    assert refinements == [default] * (1 + len(wiener.DYADIC_RANGE))
+    for stem in ("capacity", "series"):
+        assert reports[stem]["tolerance"] == default.tol
+        assert reports[stem]["rel_stall"] == default.rel_stall
+    assert reports["series"]["refinement_levels"] == list(default.levels)
+    assert [t["n"] for t in reports["series"]["terms"]] == list(wiener.DYADIC_RANGE)
+    assert reports["mean_value"]["tolerance"] == QuadratureSpec().tol
+    assert reports["simulate"]["grid"]["ratio"] == grid.ratio
+    assert reports["simulate"]["grid"]["n_times"] == len(grid.times(lower_context(1)))

@@ -14,7 +14,7 @@ from parcap.regions import (
     Union,
 )
 
-FAST = dict(n_range=range(2, 10), levels=(0, 1), rel_stall=0.03)
+FAST = dict(n_range=range(2, 10), refinement=pc.Refinement(levels=(0, 1), tol=1e-2, rel_stall=0.03))
 
 
 def test_classify_constant_terms_diverges():
@@ -89,7 +89,7 @@ def test_lambda_series_agrees_with_dyadic_verdict():
     lo = pc.lower_context(1)
     tube = Tube(PowerProfile(1.5, 0.5))
     d = pc.series_terms(tube, lo, **FAST)
-    l2 = pc.lambda_series_terms(tube, lo, 2.0, n_range=range(3, 11), levels=(0, 1), rel_stall=0.03)
+    l2 = pc.lambda_series_terms(tube, lo, 2.0, n_range=range(3, 11), refinement=FAST["refinement"])
     assert d.verdict == l2.verdict == Verdict.REMOVABLE
 
 
