@@ -60,6 +60,10 @@ class Refinement:
         if not levels or any(isinstance(v, bool) or not isinstance(v, Integral) or v < 0
                              for v in levels):
             raise ValueError(f"levels must be a non-empty sequence of integers >= 0: {levels}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not (np.isfinite(self.rel_stall) and self.rel_stall >= 0):
+            raise ValueError(f"rel_stall must be finite and >= 0, got {self.rel_stall}")
         object.__setattr__(self, "levels", levels)
 
 

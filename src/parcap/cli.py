@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .hbrownian import GridPolicy, cluster_probability, simulate
 from .kernel import (
+    DomainError,
     HalfSpace,
     PoleContext,
     kernel_ratio_matrix,
@@ -87,22 +88,26 @@ def _typed(val, types) -> bool:
 
 
 def _get(obj, key, pointer, errors, required=True, types=None, choices=None, default=None,
-         items=None, least=None):
-    """obj[key] if it is of types, its items of items, among choices and at
-    least `least`, as given; else default, after an error at pointer/key."""
+         items=None, least=None, above=None):
+    """obj[key] if it is of types, its items of items, among choices, and
+    itself or each of its items at least `least` and above `above`, as given;
+    else default, after an error at pointer/key."""
     if key not in obj:
         if required:
             _err(errors, f"{pointer}/{key}", "missing required field")
         return default
     val = obj[key]
+    nums = val if items is not None else [val]
     if types is not None and not _typed(val, types):
         _err(errors, f"{pointer}/{key}", f"expected {types}, got {type(val).__name__}")
     elif items is not None and not all(_typed(v, items) for v in val):
         _err(errors, f"{pointer}/{key}", f"expected a list of {items}, got {val!r}")
     elif choices is not None and val not in choices:
         _err(errors, f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {val!r}")
-    elif least is not None and val < least:
+    elif least is not None and not all(v >= least for v in nums):
         _err(errors, f"{pointer}/{key}", f"must be >= {least}, got {val}")
+    elif above is not None and not all(v > above for v in nums):
+        _err(errors, f"{pointer}/{key}", f"must be > {above}, got {val}")
     else:
         return val
     return default
@@ -182,9 +187,16 @@ def _settings(cls, params, errors):
 
 
 def _time_center(params, ctx, errors) -> float:
-    """The configured time centre, or the context's default one."""
+    """The configured time centre, or the context's default one (also after
+    an error, so that no caller builds a shell on a time outside ctx)."""
     tc = _get(params, "time_center", "/parameters", errors, required=False, types=NUMBER)
-    return default_time_center(ctx) if tc is None else float(tc)
+    try:
+        if tc is not None:
+            ctx.require(tc)
+            return float(tc)
+    except DomainError as exc:
+        _err(errors, "/parameters/time_center", str(exc))
+    return default_time_center(ctx)
 
 
 # CSV files not named <stem>_table.csv
@@ -260,12 +272,12 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
             if n is not None:
                 shell = dyadic_shell(ctx, n, t0)
         elif kind == "lambda":
-            lam = _get(shell_obj, "lam", "/parameters/shell", errors, types=NUMBER)
+            lam = _get(shell_obj, "lam", "/parameters/shell", errors, types=NUMBER, above=1)
             n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
             if lam is not None and n is not None:
                 shell = level_shell(ctx, float(lam), n, t0)
         elif kind == "ball":
-            sc = _get(shell_obj, "scale", "/parameters/shell", errors, types=NUMBER)
+            sc = _get(shell_obj, "scale", "/parameters/shell", errors, types=NUMBER, above=0)
             if sc is not None:
                 shell = HeatBall(ctx, t0, float(sc))
     if errors:
@@ -301,7 +313,7 @@ def _run_series(ctx, params, seed, out, emit, errors):
     kind = _get(params, "kind", "/parameters", errors, required=False, types=str,
                 choices={"dyadic", "lambda"}) or "dyadic"
     lam = _get(params, "lam", "/parameters", errors, required=kind == "lambda",
-               types=NUMBER)
+               types=NUMBER, above=1)
     n_min = _get(params, "n_min", "/parameters", errors, required=False, types=int,
                  default=DYADIC_RANGE.start)
     n_max = _get(params, "n_max", "/parameters", errors, required=False, types=int,
@@ -338,6 +350,8 @@ def _run_series(ctx, params, seed, out, emit, errors):
 def _run_simulate(ctx, params, seed, out, emit, errors):
     start_obj = _get(params, "start", "/parameters", errors, types=dict, default={})
     x0 = _get(start_obj, "x", "/parameters/start", errors, types=list, items=NUMBER)
+    if x0 is not None and len(x0) != ctx.dim:
+        _err(errors, "/parameters/start/x", f"needs {ctx.dim} components, got {len(x0)}")
     t0 = _get(start_obj, "t", "/parameters/start", errors, types=NUMBER)
     grid = _parse_fields(GridPolicy, _get(params, "grid", "/parameters", errors, types=dict),
                          "/parameters/grid", errors, t_start=None if t0 is None else float(t0))
@@ -345,6 +359,8 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
     region = _parse_region(params, "region", "/parameters", errors)
     deltas = _get(params, "deltas", "/parameters", errors, required=False, types=list,
                   items=NUMBER)
+    if deltas and not np.all(ctx.admits(deltas)):
+        _err(errors, "/parameters/deltas", f"expected times in the context's half-space, got {deltas}")
     if errors:
         raise ConfigError(errors)
     try:
@@ -374,7 +390,7 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
 def _run_mean_value(ctx, params, seed, out, emit, errors):
     u_obj = _get(params, "u", "/parameters", errors, types=dict)
     c = float(_get(params, "c", "/parameters", errors, required=False, types=NUMBER,
-                   default=1.0))
+                   above=0, default=1.0))
     t0 = _time_center(params, ctx, errors)
     quad = _settings(QuadratureSpec, params, errors)
     if errors:
@@ -406,7 +422,7 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
     kind = _get(u_obj, "kind", "/parameters/u", errors, types=str,
                 choices={"one", "source_ratio"})
     c_values = _get(params, "c_values", "/parameters", errors, required=False, types=list,
-                    items=NUMBER, default=[0.5, 1.0, 2.0])
+                    items=NUMBER, above=0, default=[0.5, 1.0, 2.0])
     if not c_values:
         _err(errors, "/parameters/c_values", "expected at least one scale")
     t0 = _time_center(params, ctx, errors)

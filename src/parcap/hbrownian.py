@@ -15,6 +15,13 @@ accumulate at the pole, where the clustering question lives.
 Randomness is counter-based: each grid step draws from its own keyed stream
 (seed, step), normals via inverse transform, so ensembles are reproducible
 bit for bit under any execution schedule and stable under path-count growth.
+
+Ensembles are stored time-major, one contiguous (n_paths, N) block per grid
+time, so a transition reads one block and writes the next; `paths` is the
+(n_paths, K, N) view of that storage.  Clustering walks the same blocks one
+time at a time and keeps one integer per path, the deepest grid index at
+which the path was in the region, so its memory beyond the path array is
+O(n_paths).
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class PathEnsemble:
     ctx: PoleContext
     start: SpaceTimePoint
     times: np.ndarray            # strictly decreasing
-    paths: np.ndarray            # (n_paths, len(times), N)
+    paths: np.ndarray            # (n_paths, len(times), N), a view of (K, n_paths, N)
     seed: int
 
     @property
@@ -153,14 +160,12 @@ def simulate(
     if abs(times[0] - start.t) > 1e-12 * max(1.0, abs(start.t)):
         raise ValueError("grid must start at the start point's time")
     K = times.shape[0]
-    paths = np.zeros((n_paths, K, ctx.dim))
-    if n_paths == 0:
-        return PathEnsemble(ctx, start, times, paths, seed)
-    paths[:, 0, :] = start.x
+    steps = np.zeros((K, n_paths, ctx.dim))
+    steps[0] = start.x
     for k in range(K - 1):
-        mean, std = transition_parameters(ctx, paths[:, k, :], float(times[k]), float(times[k + 1]))
-        paths[:, k + 1, :] = mean + std * step_normals(seed, k, n_paths, ctx.dim)
-    return PathEnsemble(ctx, start, times, paths, seed)
+        mean, std = transition_parameters(ctx, steps[k], float(times[k]), float(times[k + 1]))
+        steps[k + 1] = mean + std * step_normals(seed, k, n_paths, ctx.dim)
+    return PathEnsemble(ctx, start, times, steps.transpose(1, 0, 2), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +223,12 @@ def cluster_probability(
     abstains when the tightest confidence interval is too wide or the trend
     sits between the thresholds.  Grid resolution is reported because hitting
     is only checked at grid times (under-detection is possible, not hidden).
+
+    Membership is asked once per grid time, on that time's (n_paths, N)
+    block.  Each path keeps only the deepest grid index at which it was in
+    the region (-1 if never): the grid decreases toward the pole, so the
+    times at or beyond delta are a suffix of it, and a path visits that
+    suffix exactly when its deepest hit lies in it.
     """
     ctx = ensemble.ctx
     times = ensemble.times
@@ -228,17 +239,16 @@ def cluster_probability(
     for d in deltas:
         ctx.require(d)
 
-    if region is None or n_paths == 0:
-        hit_any = np.zeros((n_paths, times.shape[0]), dtype=bool)
-    else:
-        flat_x = ensemble.paths.reshape(-1, ctx.dim)
-        flat_t = np.repeat(times[None, :], n_paths, axis=0).reshape(-1)
-        hit_any = region.contains(flat_x, flat_t, ctx).reshape(n_paths, times.shape[0])
+    deepest = np.full(n_paths, -1)
+    if region is not None:
+        for k, t in enumerate(times):
+            hit = region.contains(ensemble.paths[:, k, :], np.full(n_paths, t), ctx)
+            deepest[hit] = k
 
     freqs, lo, hi = [], [], []
     for d in deltas:
-        sel = times <= d
-        k = int(np.sum(np.any(hit_any[:, sel], axis=1))) if np.any(sel) else 0
+        first = int(np.searchsorted(-times, -d))  # first grid index with t <= d
+        k = int(np.count_nonzero(deepest >= first))
         f = k / n_paths if n_paths else 0.0
         a, b = wilson_interval(k, n_paths, policy.z)
         freqs.append(f)

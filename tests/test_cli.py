@@ -402,6 +402,21 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("harnack.c_values", "abc", "/parameters/c_values"),
         ("harnack.u", "one", "/parameters/u"),
         ("capacity.resolution", {"base_time": 0}, "/parameters/resolution/base_time"),
+        # values of the right type outside their range, refused before any compute
+        ("capacity.tol", -1, "/parameters/tol"),
+        ("capacity.tol", 0, "/parameters/tol"),
+        ("series.tol", float("inf"), "/parameters/tol"),
+        ("series.rel_stall", -0.5, "/parameters/rel_stall"),
+        ("series.rel_stall", float("nan"), "/parameters/rel_stall"),
+        ("series.lam", 1.0, "/parameters/lam"),
+        ("simulate.start", {"x": [0.0, 0.0], "t": -1.0}, "/parameters/start/x"),
+        ("simulate.deltas", [-10.0, 5.0], "/parameters/deltas"),
+        ("mean_value.c", 0, "/parameters/c"),
+        ("mean_value.time_center", -1.0, "/parameters/time_center"),
+        ("capacity.time_center", 1.0, "/parameters/time_center"),
+        ("harnack.c_values", [0.5, -1.0], "/parameters/c_values"),
+        ("capacity.shell", {"kind": "ball", "scale": -2.0}, "/parameters/shell/scale"),
+        ("capacity.shell", {"kind": "lambda", "lam": 0.5, "n": 1}, "/parameters/shell/lam"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):

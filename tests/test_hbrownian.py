@@ -15,7 +15,18 @@ from parcap.hbrownian import (
     wilson_interval,
 )
 from parcap.kernel import DomainError
-from parcap.regions import EmptyRegion, FullRegion, Intersection, PowerProfile, SpaceBall, TimeSlab, Tube
+from parcap.regions import (
+    AppellImage,
+    EmptyRegion,
+    FullRegion,
+    HalfSpaceCut,
+    Intersection,
+    PowerProfile,
+    SpaceBall,
+    TimeSlab,
+    Tube,
+    Union,
+)
 
 
 def test_grid_policy_shapes():
@@ -212,3 +223,123 @@ def test_ensemble_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "path,t,x1,x2"
     assert len(lines) == 1 + 3 * len(ens.times)
+
+
+def test_simulate_matches_path_major_loop():
+    # the transition applied to one (n_paths, K, N) array, step by step
+    for ctx, start, grid in [
+        (pc.upper_context(2, [0.4, -0.2]), pc.point([1.0, 0.5], 1.0), GridPolicy(1.0, 1e-3, ratio=0.7)),
+        (pc.lower_context(1, [0.3]), pc.point([0.0], -1.0), GridPolicy(-1.0, -80.0, ratio=0.85)),
+    ]:
+        n_paths, seed = 700, 21
+        times = grid.times(ctx)
+        want = np.zeros((n_paths, times.shape[0], ctx.dim))
+        want[:, 0, :] = start.x
+        for k in range(times.shape[0] - 1):
+            mean, std = transition_parameters(ctx, want[:, k, :], float(times[k]), float(times[k + 1]))
+            want[:, k + 1, :] = mean + std * step_normals(seed, k, n_paths, ctx.dim)
+        got = simulate(start, grid, n_paths, ctx, seed).paths
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _flat_mask_estimate(ens, region, deltas, policy=ClusterPolicy()):
+    """Clustering from one membership call over the flattened (n_paths, K)
+    grid and the whole hit mask: the reference for the per-time walk."""
+    ctx, times, n_paths = ens.ctx, ens.times, ens.n_paths
+    deltas = sorted(float(d) for d in deltas)
+    if region is None or n_paths == 0:
+        hit = np.zeros((n_paths, times.shape[0]), dtype=bool)
+    else:
+        flat_t = np.repeat(times[None, :], n_paths, axis=0).reshape(-1)
+        hit = region.contains(ens.paths.reshape(-1, ctx.dim), flat_t, ctx).reshape(n_paths, -1)
+    freqs, lo, hi = [], [], []
+    for d in deltas:
+        sel = times <= d
+        k = int(np.sum(np.any(hit[:, sel], axis=1))) if np.any(sel) else 0
+        a, b = wilson_interval(k, n_paths, policy.z)
+        freqs.append(k / n_paths if n_paths else 0.0)
+        lo.append(a)
+        hi.append(b)
+    halfwidth = 0.5 * (hi[0] - lo[0])
+    diag = {"tight_halfwidth": halfwidth, "n_grid_in_tightest": int(np.sum(times <= deltas[0]))}
+    if halfwidth > policy.max_halfwidth or n_paths == 0:
+        verdict = ClusterVerdict.INDETERMINATE
+        diag["reason"] = "confidence interval too wide"
+    elif lo[0] >= policy.p_high:
+        verdict = ClusterVerdict.P_ONE
+    elif hi[0] <= policy.p_low:
+        verdict = ClusterVerdict.P_ZERO
+    else:
+        verdict = ClusterVerdict.INDETERMINATE
+        diag["reason"] = "frequency between thresholds"
+    return pc.ClusterEstimate(tuple(deltas), tuple(freqs), tuple(lo), tuple(hi), verdict,
+                              n_paths, int(times.shape[0]), diag)
+
+
+CLUSTER_CASES = [
+    *(f"lower-{name}" for name in ("empty", "full", "tube", "slab_cut", "none")),
+    *(f"upper-{name}" for name in ("empty", "full", "tube", "slab_cut", "appell_union", "none")),
+    "no_paths",
+]
+
+
+@pytest.fixture(scope="module")
+def cluster_cases():
+    """name -> (ensemble, region, deltas) in both half-spaces; the deltas
+    sit on grid times, between them, and past the grid's end."""
+    lo = pc.lower_context(1)
+    up = lo.mirror()
+    lo_ens = simulate(pc.point([0.0], -1.0), GridPolicy(-1.0, -3000.0, ratio=0.9), 3000, lo, seed=41)
+    up_ens = simulate(pc.point([1.0], 1.0), GridPolicy(1.0, 2e-4, ratio=0.9), 3000, up, seed=42)
+    lo_deltas = [float(lo_ens.times[30]), -100.0, float(lo_ens.times[60]), -1000.0, -5000.0]
+    up_deltas = [float(up_ens.times[40]), 0.01, float(up_ens.times[70]), 0.05, 1e-5]
+    tube = Tube(PowerProfile(1.5, 0.5))
+    lo_box = Intersection([TimeSlab(-400.0, -20.0), HalfSpaceCut([1.0], -0.5)])
+    regions = {
+        "lower": {"empty": EmptyRegion(), "full": FullRegion(), "tube": tube,
+                  "slab_cut": lo_box, "none": None},
+        "upper": {"empty": EmptyRegion(), "full": FullRegion(), "tube": tube,
+                  "slab_cut": Intersection([TimeSlab(0.001, 0.1), HalfSpaceCut([1.0], 0.0)]),
+                  "appell_union": AppellImage(Union([Tube(PowerProfile(0.5, 0.5), axis="drift"),
+                                                     lo_box])),
+                  "none": None},
+    }
+    cases = {
+        f"{side}-{name}": (ens, region, deltas)
+        for side, ens, deltas in (("lower", lo_ens, lo_deltas), ("upper", up_ens, up_deltas))
+        for name, region in regions[side].items()
+    }
+    no_paths = simulate(pc.point([0.0], -1.0), GridPolicy(-1.0, -50.0, ratio=0.8), 0, lo, seed=1)
+    cases["no_paths"] = (no_paths, tube, [-10.0, -40.0])
+    return cases
+
+
+@pytest.mark.parametrize("name", CLUSTER_CASES)
+def test_cluster_probability_equals_flat_mask_reference(cluster_cases, name):
+    ens, region, deltas = cluster_cases[name]
+    got = cluster_probability(ens, region, deltas)
+    assert got == _flat_mask_estimate(ens, region, deltas)
+    if isinstance(region, FullRegion):
+        # every path is in the region at every time, but no grid time lies
+        # at or beyond the tightest delta
+        assert got.frequencies[0] == 0.0 and got.frequencies[1:] == (1.0,) * 4
+
+
+def test_cluster_probability_memory_is_o_n_paths():
+    # beyond the path array, clustering keeps O(n_paths) per grid time: well
+    # under one byte per (path, time), where a whole-grid mask alone takes one
+    import tracemalloc
+
+    lo = pc.lower_context(1)
+    ens = simulate(pc.point([0.0], -1.0), GridPolicy(-1.0, -3000.0, ratio=0.9), 20_000, lo, seed=5)
+    n_paths, K, _ = ens.paths.shape
+    assert K == 77
+    tube = Tube(PowerProfile(1.5, 0.5))
+    tracemalloc.start()
+    try:
+        cluster_probability(ens, tube, [-30.0, -100.0, -300.0, -1000.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * K
