@@ -11,9 +11,13 @@ temporal cell) and a halo of constraint points is added in a slab above the
 set.  A seeded random probe cloud, denser than the collocation, re-checks
 feasibility of the returned measure; violations are reported, never clipped.
 
-The solver is free as long as the certificates hold: here the LP goes to
-HiGHS, and the result carries the feasibility maximum, the complementary
-slackness residual and the duality gap.
+The solver is free as long as the certificates hold.  Here the LP goes to
+HiGHS by row generation: only a few percent of the collocation rows bind, so
+HiGHS sees a working set of rows that starts at each column's peak row and
+grows by every row whose potential exceeds 1, until none does.  The result
+carries the feasibility maximum, the complementary slackness residual and
+the duality gap, all computed over every collocation row, not only the
+working set.
 """
 
 from __future__ import annotations
@@ -231,6 +235,56 @@ def _unit_rays(rng, n, dim):
     return ray / np.maximum(np.linalg.norm(ray, axis=1, keepdims=True), 1e-300)
 
 
+# a collocation row joins the working set once the potential there exceeds
+# 1 by more than this: stricter than HiGHS's own 1e-7 row tolerance
+ROW_EXCESS = 1e-9
+
+# the dense packing program goes to HiGHS without presolve, which costs more
+# than it saves here; interior point is the fallback when simplex fails
+_METHODS = (("highs", {"presolve": False}), ("highs-ipm", None))
+
+
+def _solve_by_rows(A, c, start, inv):
+    """Minimize c @ x over x >= 0 with A @ x <= 1 by row generation.
+
+    HiGHS sees only a working set of rows, which starts at the rows in start
+    and grows by every row whose potential A @ x exceeds 1 + ROW_EXCESS.
+    Each round adds a row or ends the loop, and the last restricted optimum
+    is feasible on every row, so it is the optimum of the whole program.
+
+    Returns x, the row duals (zero off the working set), A @ x on every row
+    and the solver facts.  Raises SolverFailure when a round fails; its best
+    value is the last x, scaled onto every row, in the units of inv."""
+    working = np.zeros(A.shape[0], dtype=bool)
+    working[start] = True
+    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0, "lp_retry": False}
+    x = np.zeros(A.shape[1])
+    while True:
+        rows = np.flatnonzero(working)
+        sub = A[rows]
+        for method, options in _METHODS:
+            facts["lp_retry"] |= method == "highs-ipm"
+            res = linprog(c=c, A_ub=sub, b_ub=np.ones(rows.shape[0]), bounds=(0.0, None),
+                          method=method, options=options)
+            facts["lp_iterations"] += int(res.nit)
+            if res.x is not None:
+                x = np.maximum(res.x, 0.0)
+            if res.success:
+                break
+        facts["lp_rounds"] += 1
+        facts["lp_rows"] = int(rows.shape[0])
+        pots = A @ x
+        if not res.success:
+            best = float(np.sum(x * inv)) / max(1.0, float(np.max(pots)))
+            raise SolverFailure(f"LP failed: {res.message}", best)
+        new = ~working & (pots > 1.0 + ROW_EXCESS)
+        if not np.any(new):
+            duals = np.zeros(A.shape[0])
+            duals[rows] = -np.asarray(res.ineqlin.marginals, dtype=float)
+            return x, duals, pots, facts
+        working |= new
+
+
 def capacity(
     cloud: NodeCloud,
     *,
@@ -240,7 +294,8 @@ def capacity(
     """Solve the packing program for one node cloud, in its set's context.
 
     Raises SolverFailure when the LP does not reach optimality; the exception
-    carries the best feasible value seen.
+    carries the value of the last iterate scaled down to potential <= 1 on
+    every collocation row.
     """
     if cloud.is_empty:
         return CapacityResult(
@@ -259,7 +314,8 @@ def capacity(
     coll = collocation if collocation is not None else build_collocation(cloud)
     A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, ctx)
 
-    col_max = A.max(axis=0)
+    peak = A.argmax(axis=0)
+    col_max = A[peak, np.arange(A.shape[1])]
     alive = col_max > 0.0
     if not np.any(alive):
         raise SolverFailure("every kernel column is numerically zero", 0.0)
@@ -274,38 +330,15 @@ def capacity(
     # invariant under positive objective scaling and masses unwind exactly
     inv = 1.0 / cm
     c_scale = float(np.max(inv))
-    # on this dense packing program presolve costs more than it saves: the
-    # solve runs about twice as fast without it, to the same optimum
-    res = linprog(
-        c=-(inv / c_scale),
-        A_ub=A,
-        b_ub=np.ones(A.shape[0]),
-        bounds=(0.0, None),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not res.success:
-        res = linprog(
-            c=-(inv / c_scale),
-            A_ub=A,
-            b_ub=np.ones(A.shape[0]),
-            bounds=(0.0, None),
-            method="highs-ipm",
-        )
-    if not res.success:
-        best = 0.0 if res.x is None else float(np.sum(np.asarray(res.x) * inv))
-        raise SolverFailure(f"LP failed: {res.message}", best)
-
-    scaled_m = np.maximum(res.x, 0.0)  # masses in units of the column scales
+    # every live column's peak row caps its variable at 1, so each restricted
+    # program is bounded; scaled_m holds masses in units of the column scales
+    scaled_m, duals, pots, lp_facts = _solve_by_rows(A, -(inv / c_scale), peak[alive], inv)
     masses = np.zeros(len(cloud))
     masses[alive] = scaled_m * inv
     value = float(np.sum(masses))
     mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
 
-    pots = A @ scaled_m
-
-    y = -np.asarray(res.ineqlin.marginals, dtype=float) * c_scale
-    y = np.maximum(y, 0.0)
+    y = np.maximum(duals * c_scale, 0.0)
     dual_value = float(np.sum(y))
     red = cm * (A.T @ y) - 1.0
     scale = max(1.0, value)
@@ -332,6 +365,7 @@ def capacity(
             "n_collocation": len(coll),
             "n_candidates": cloud.n_candidates,
             "support_size": int(np.sum(masses > 1e-12 * max(value, 1e-30))),
+            **lp_facts,
         },
     )
 

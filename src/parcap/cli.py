@@ -359,6 +359,10 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
     region = _parse_region(params, "region", "/parameters", errors)
     deltas = _get(params, "deltas", "/parameters", errors, required=False, types=list,
                   items=NUMBER)
+    for pointer, t in (("/parameters/start/t", t0),
+                       ("/parameters/grid/t_end", None if grid is None else grid.t_end)):
+        if t is not None and not ctx.admits(t):
+            _err(errors, pointer, f"expected a time in the context's half-space, got {t}")
     if deltas and not np.all(ctx.admits(deltas)):
         _err(errors, "/parameters/deltas", f"expected times in the context's half-space, got {deltas}")
     if errors:

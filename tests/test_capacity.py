@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,93 @@ def test_smoothed_reduction_profile():
     r_fine = abs(pc.heat_operator_fd(f, zup, step=1e-2, richardson=False))
     assert r_fine < 1e-5
     assert r_fine < r_coarse / 2.0
+
+
+def _full_matrix_optimum(cloud, coll):
+    """Value of the packing program over every collocation row at once, with
+    HiGHS's default options (presolve on): a reference the solve never sees."""
+    from scipy.optimize import linprog
+
+    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
+    ref = linprog(-np.ones(K.shape[1]), A_ub=K, b_ub=np.ones(K.shape[0]),
+                  bounds=(0.0, None), method="highs")
+    assert ref.success
+    return float(np.sum(ref.x)), K
+
+
+@pytest.mark.parametrize(
+    "ctx, region, resolution",
+    [
+        (pc.lower_context(1), None, Resolution(level=1)),
+        (pc.upper_context(1, [0.5]), HalfSpaceCut([1.0], 0.5), Resolution(level=1)),
+        (pc.lower_context(2, [0.3, 0.0]), None, Resolution(level=0, base_time=4, base_radial=2)),
+    ],
+    ids=["lower_shell_1d", "upper_cut_1d", "lower_shell_2d"],
+)
+def test_row_generation_matches_the_full_matrix_program(ctx, region, resolution):
+    cloud = discretize(pc.CompactSet(pc.dyadic_shell(ctx, 1), region), resolution)
+    coll = build_collocation(cloud)
+    res = capacity(cloud, collocation=coll)
+    ref_value, K = _full_matrix_optimum(cloud, coll)
+
+    assert abs(res.value - ref_value) <= 1e-9 * ref_value
+    # the certificates cover every row, not only the ones HiGHS saw
+    diag = res.diagnostics
+    assert diag["n_collocation"] == len(coll) == K.shape[0]
+    assert res.max_potential == pytest.approx(float(np.max(K @ res.capacitary.masses)),
+                                              rel=1e-12)
+    # rows off the working set end at most 1e-9 above 1, rows on it within
+    # HiGHS's own 1e-7 feasibility tolerance
+    assert res.max_potential <= 1.0 + 1e-7
+    assert res.duality_gap <= 1e-9 and res.comp_slack_residual <= 1e-9
+    assert diag["lp_rounds"] >= 2 and diag["lp_rows"] < diag["n_collocation"]
+    assert diag["lp_iterations"] > 0 and diag["lp_retry"] is False
+
+
+class _FailedSolve:
+    success = False
+    message = "no optimum (forced)"
+    nit = 3
+
+    def __init__(self, x):
+        self.x = x
+
+
+@pytest.mark.parametrize("iterate", ["ones", "none"])
+def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
+    cap_module = sys.modules[capacity.__module__]
+    calls = []
+
+    def failing_linprog(c, *, A_ub, **kwargs):
+        calls.append(kwargs["method"])
+        return _FailedSolve(np.ones(A_ub.shape[1]) if iterate == "ones" else None)
+
+    monkeypatch.setattr(cap_module, "linprog", failing_linprog)
+    lo = pc.lower_context(1)
+    cloud = discretize(pc.CompactSet(pc.dyadic_shell(lo, 0), None), Resolution(level=0))
+    with pytest.raises(pc.SolverFailure) as info:
+        capacity(cloud)
+    assert calls == ["highs", "highs-ipm"]
+    best = info.value.best_value
+    if iterate == "none":
+        assert best == 0.0
+        return
+    # the iterate is unit mass in the units of each column's peak: scaled
+    # onto every row it is a measure of potential at most 1 everywhere
+    coll = build_collocation(cloud)
+    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, lo)
+    masses = 1.0 / K.max(axis=0)
+    masses /= max(1.0, float(np.max(K @ masses)))
+    assert best == pytest.approx(float(np.sum(masses)), rel=1e-12)
+    assert float(np.max(K @ masses)) <= 1.0 + 1e-12
+    assert best > 0.0
+
+
+def test_failure_in_capacity_of_region_keeps_the_feasible_value(monkeypatch):
+    cap_module = sys.modules[capacity.__module__]
+    monkeypatch.setattr(cap_module, "linprog",
+                        lambda c, *, A_ub, **kw: _FailedSolve(np.ones(A_ub.shape[1])))
+    compact = pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None)
+    res = capacity_of_region(compact, refinement=Refinement(levels=(0,)))
+    assert not res.converged and "solver_failure" in res.diagnostics
+    assert res.history[0][1] == res.value > 0.0

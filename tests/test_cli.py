@@ -250,8 +250,9 @@ REPORT_KEYS_CASES = {
                         "resolution": {"base_time": 6, "base_radial": 2}}},
         {"comp_slack_residual", "context", "context.dim", "context.gamma",
          "context.half_space", "converged", "criterion", "diagnostics",
-         "diagnostics.n_candidates", "diagnostics.n_collocation", "diagnostics.n_nodes",
-         "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
+         "diagnostics.lp_iterations", "diagnostics.lp_retry", "diagnostics.lp_rounds",
+         "diagnostics.lp_rows", "diagnostics.n_candidates", "diagnostics.n_collocation",
+         "diagnostics.n_nodes", "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
          "measure.masses", "measure.nodes_t", "measure.nodes_x", "probe_max_potential",
          "rel_stall", "resolution", "resolution.level", "resolution.n_angular",
          "resolution.n_polar", "resolution.n_radial", "resolution.n_time", "seed",
@@ -417,6 +418,8 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("harnack.c_values", [0.5, -1.0], "/parameters/c_values"),
         ("capacity.shell", {"kind": "ball", "scale": -2.0}, "/parameters/shell/scale"),
         ("capacity.shell", {"kind": "lambda", "lam": 0.5, "n": 1}, "/parameters/shell/lam"),
+        ("simulate.start", {"x": [0.0], "t": 1.0}, "/parameters/start/t"),
+        ("simulate.grid", {"t_end": 5.0, "ratio": 0.8}, "/parameters/grid/t_end"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
