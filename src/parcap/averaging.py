@@ -12,6 +12,10 @@ integral of the closed-form section radius; the field is frozen at the cap
 base).  Every public value is accompanied by a two-resolution error estimate
 and non-convergence raises with the partial value attached.
 
+Every functional is computed in the lower half-space: an upper call is the
+lower one of the field pulled back through the exchange map (Appell's
+transformation) on the image ball, which has the same scale.
+
 Normalization constants are pinned by the u = 1 identity: a weighted-mean of
 any pole-weighted caloric function over a ball must reproduce its center
 value, and the constant-field case fixes the constants.  The scale
@@ -28,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .appell import AppellDirection, appell_map, appell_map_arrays
 from .geometry import HeatBall, Resolution, sphere_directions
 from .kernel import (
     DomainError,
@@ -73,6 +78,10 @@ class QuadratureSpec:
     cap_fraction: float = 1e-6  # relative height of the excluded vertex cap
     tol: float = 1e-3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+
     @property
     def vertex_levels(self) -> int:
         return max(4, math.ceil(math.log2(1.0 / (2.0 * self.cap_fraction))))
@@ -97,7 +106,8 @@ class QuadratureError(RuntimeError):
 
 
 class PreconditionError(ValueError):
-    """A pointwise hypothesis failed; carries the offending sample point."""
+    """A pointwise hypothesis failed; carries the offending sample point, in
+    the lower half-space the check ran in (the image point of an upper call)."""
 
     def __init__(self, message: str, where: SpaceTimePoint):
         super().__init__(message)
@@ -199,13 +209,17 @@ def _ball_integral(
     return total, cap_base
 
 
+def _sphere_area(dim: int) -> float:
+    """|S^(N-1)| = 2 pi^(N/2) / Gamma(N/2)."""
+    return 2.0 * math.pi ** (0.5 * dim) / math.gamma(0.5 * dim)
+
+
 def _cap_geometric_factor(
     ball: HeatBall, k_of_t: Callable[[np.ndarray], np.ndarray], cap_base: float
 ) -> float:
     """Integral of k(t) |S^(N-1)| R(t)^(N+2) / (N+2) over the vertex cap."""
     N = ball.dim
     _, hi = ball.time_window
-    sphere = 2.0 if N == 1 else (2.0 * np.pi if N == 2 else 4.0 * np.pi)
     h = hi - cap_base
     if h <= 0.0:
         return 0.0
@@ -216,7 +230,20 @@ def _cap_geometric_factor(
     width = (hi - h * 2.0 ** (-(j + 1))) - b
     t = b + width * gx
     R = ball.radius(t).reshape(t.shape)
-    return float(np.sum(gw * width * k_of_t(t) * sphere * R ** (N + 2) / (N + 2)))
+    return float(np.sum(gw * width * k_of_t(t) * _sphere_area(N) * R ** (N + 2) / (N + 2)))
+
+
+def _below(u: Field, center: SpaceTimePoint, ctx: PoleContext, hu_operator=None):
+    """The arguments themselves below; above, the field pulled back through
+    the exchange map, the image centre, the mirrored context and the pulled
+    operator over 4 tau^2 (the weighted heat operator's transfer identity)."""
+    if not ctx.is_upper:
+        return u, center, ctx, hu_operator
+    back = lambda xs, ts: appell_map_arrays(xs, ts, AppellDirection.BACKWARD)
+    pulled = lambda xs, ts: field_values(u, *back(xs, ts))
+    op = lambda xs, ts: field_values(hu_operator, *back(xs, ts)) / (4.0 * ts * ts)
+    image = appell_map(center, AppellDirection.FORWARD)
+    return pulled, image, ctx.mirror(), op if hu_operator is not None else None
 
 
 def _ball_from_center(center: SpaceTimePoint, c: float, ctx: PoleContext) -> HeatBall:
@@ -229,13 +256,9 @@ def _ball_from_center(center: SpaceTimePoint, c: float, ctx: PoleContext) -> Hea
 
 
 def _rho_weight_raw(u: Field, ball: HeatBall, spec: QuadratureSpec) -> float:
-    """Raw integral of u rho^2 k(t) with the singular vertex weight."""
-    if ball.ctx.is_upper:
-        t0 = ball.time_center
-        k = lambda t: 1.0 / (t ** (ball.dim + 2) * (t - t0) ** 2)
-    else:
-        t0 = ball.time_center
-        k = lambda t: 1.0 / (t - t0) ** 2
+    """Raw integral of u rho^2 / (t - t0)^2 over a lower ball."""
+    t0 = ball.time_center
+    k = lambda t: 1.0 / (t - t0) ** 2
 
     def g(xs, ts, rs, Rs):
         return field_values(u, xs, ts) * rs * rs * k(ts)
@@ -274,15 +297,10 @@ def phi(
     Constant in c exactly when u is pole-weighted caloric; its value then
     determines u at the center (see mean_value).
     """
+    u, center, ctx, _ = _below(u, center, ctx)
     ball = _ball_from_center(center, c, ctx)
-    N = ctx.dim
-    if ctx.is_upper:
-        pref = ball.time_center**2 * (4.0 * c) ** (-0.5 * N)
-    else:
-        pref = c ** (-0.5 * N)
-    res = _with_estimate(
-        lambda s: _rho_weight_raw(u, ball, s), quad, "phi"
-    )
+    pref = c ** (-0.5 * ctx.dim)
+    res = _with_estimate(lambda s: _rho_weight_raw(u, ball, s), quad, "phi")
     return QuadResult(pref * res.value, pref * res.error_estimate)
 
 
@@ -295,18 +313,13 @@ def mean_value(
 ) -> float:
     """Weighted ball average reproducing u(center) for pole-weighted caloric u.
 
-    Above: 4 t0^2 (pi c)^(-N/2) integral of u rho^2 / ((4t)^(N+2) (t-t0)^2).
-    Below: (2^(N+2) (pi c)^(N/2))^(-1) integral of u rho^2 / (t-t0)^2; the
-    power of two is the one the u = 1 test singles out.
+    It is phi / (2^(N+2) pi^(N/2)), that is (2^(N+2) (pi c)^(N/2))^(-1) times
+    the integral of u rho^2 / (t - t0)^2 over the lower ball; the power of
+    two is the one the u = 1 test singles out.  An upper call is the lower
+    one of the pulled-back field about the image centre.
     """
-    ball = _ball_from_center(center, c, ctx)
     N = ctx.dim
-    if ctx.is_upper:
-        pref = 4.0 * ball.time_center**2 * (np.pi * c) ** (-0.5 * N) / 4.0 ** (N + 2)
-    else:
-        pref = 1.0 / (2.0 ** (N + 2) * (np.pi * c) ** (0.5 * N))
-    res = _with_estimate(lambda s: _rho_weight_raw(u, ball, s), quad, "mean_value")
-    return pref * res.value
+    return phi(u, c, center, ctx, quad).value / (2.0 ** (N + 2) * np.pi ** (0.5 * N))
 
 
 def weighted_heat_residual(
@@ -345,22 +358,15 @@ def phi_prime(
 ) -> QuadResult:
     """Derivative of phi in the scale, as a bulk integral of the weighted
     heat operator against the section-gap weight (R^2 - rho^2)."""
+    u, center, ctx, hu_operator = _below(u, center, ctx, hu_operator)
     ball = _ball_from_center(center, c, ctx)
     N = ctx.dim
     t0 = ball.time_center
     q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ctx, ball)
+    pref = N / (2.0 * c ** (0.5 * (N + 2)))
 
-    if ctx.is_upper:
-        pref = N * t0 / (2.0 ** (N + 1) * c ** (0.5 * (N + 2)))
-
-        def g(xs, ts, rs, Rs):
-            return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts ** (N + 1) * (ts - t0))
-
-    else:
-        pref = N / (2.0 * c ** (0.5 * (N + 2)))
-
-        def g(xs, ts, rs, Rs):
-            return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts - t0)
+    def g(xs, ts, rs, Rs):
+        return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts - t0)
 
     def raw(s: QuadratureSpec) -> float:
         return _ball_integral(ball, g, s)[0]
@@ -374,9 +380,7 @@ def _sample_ball_points(ball: HeatBall, n_time=10, n_radial=4):
     lo, hi = ball.time_window
     dirs, _ = sphere_directions(ball.dim, Resolution(base_angular=8, base_polar=4))
     fr = (np.arange(n_time) + 0.5) / n_time
-    native = ball.ctx.native_time
-    s_lo, s_hi = native(lo), native(hi)
-    ts = native(s_lo + fr * (s_hi - s_lo))
+    ts = lo + fr * (hi - lo)
     R = ball.radius(ts)
     ts, R = ts[R > 0], R[R > 0]
     rfrac = (np.arange(n_radial) + 0.5) / n_radial
@@ -402,6 +406,7 @@ def subparabolic_gap(
     unknown universal constant; the fitted quotient lhs / rhs is returned so
     the constant can be tracked across fixtures.
     """
+    u, center, ctx, hu_operator = _below(u, center, ctx, hu_operator)
     big = _ball_from_center(center, 2.0 * c, ctx)
     q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ctx, big)
 
@@ -419,15 +424,9 @@ def subparabolic_gap(
 
     N = ctx.dim
     half = _ball_from_center(center, 0.5 * c, ctx)
-    if ctx.is_upper:
 
-        def g(xs, ts, rs, Rs):
-            return -field_values(q, xs, ts) / (2.0 * ts) ** N
-
-    else:
-
-        def g(xs, ts, rs, Rs):
-            return -field_values(q, xs, ts)
+    def g(xs, ts, rs, Rs):
+        return -field_values(q, xs, ts)
 
     def raw(s: QuadratureSpec) -> float:
         return _ball_integral(half, g, s)[0]
@@ -459,15 +458,11 @@ def harnack_check(
     the ratio is bounded by a constant depending only on the dimension, not
     on the scale; fixtures track the measured ratio across scales.
     """
+    u, center, ctx, _ = _below(u, center, ctx)
     ball = _ball_from_center(center, c, ctx)
     N = ctx.dim
-    t0 = ball.time_center
-    if ctx.is_upper:
-        t_s = t0 / (1.0 + 6.0 * c * t0)
-        r_s = math.sqrt(3.0 * N * c) * t0 / (1.0 + 6.0 * c * t0)
-    else:
-        t_s = t0 - 1.5 * c
-        r_s = 0.5 * math.sqrt(3.0 * N * c)
+    t_s = ball.time_center - 1.5 * c
+    r_s = 0.5 * math.sqrt(3.0 * N * c)
     slice_center = ctx.axis([t_s])[0]
 
     dirs, wdir = sphere_directions(
@@ -480,8 +475,7 @@ def harnack_check(
     vals = field_values(u, xs, ts)
     _require_nonnegative(vals, xs, ts, "field is negative on the averaging slice")
     acc = float(np.sum((rw * r ** (N - 1))[:, None] * wdir[None, :] * vals.reshape(r.size, -1)))
-    sphere = 2.0 if N == 1 else (2.0 * np.pi if N == 2 else 4.0 * np.pi)
-    disk_measure = sphere * r_s**N / N
+    disk_measure = _sphere_area(N) * r_s**N / N
     average = acc * r_s / disk_measure
 
     inner = _ball_from_center(center, 0.75 * c, ctx)

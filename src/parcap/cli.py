@@ -126,10 +126,11 @@ def _parse_context(cfg, errors) -> PoleContext | None:
     if errors or dim is None or hs is None:
         return None
     g = np.zeros(dim) if gamma is None else np.asarray(gamma, dtype=float)
-    if g.shape != (dim,):
-        _err(errors, "/context/gamma", f"needs {dim} components")
+    try:
+        return PoleContext(dim, g, HalfSpace(hs))
+    except ValueError as exc:  # gamma of another dimension, or not finite
+        _err(errors, "/context/gamma", str(exc))
         return None
-    return PoleContext(dim, g, HalfSpace(hs))
 
 
 def _parse_region(params, key, pointer, errors, required=False) -> Region | None:
@@ -466,7 +467,7 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
     n_points = _get(params, "n_points", "/parameters", errors, required=False, types=int,
                     least=0, default=1000)
     step = float(_get(params, "step", "/parameters", errors, required=False, types=NUMBER,
-                      default=5e-3))
+                      above=0, default=5e-3))
     if errors:
         raise ConfigError(errors)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -254,10 +254,7 @@ def harnack_region(time_center: float, c: float, ctx: PoleContext) -> Region:
     tau0 - 3c/4."""
     if c <= 0:
         raise ValueError("c must be positive")
-    if ctx.is_upper:
-        trunc = time_center / (1.0 + 3.0 * time_center * c)
-    else:
-        trunc = time_center - 0.75 * c
+    trunc = ctx.native_time(ctx.native_time(time_center) - 0.75 * c)
     return Intersection(
         [HeatBallRegion(time_center, c), TimeSlab(trunc, time_center)]
     )

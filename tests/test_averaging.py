@@ -246,21 +246,46 @@ def test_harnack_negative_field_rejected():
         harnack_check(lambda xs, ts: -1.0, ball.center, 1.0, lo)
 
 
-def test_scale_functional_transports_across_halfspaces():
-    # the scale functional of a field equals that of its pullback over the
-    # image ball: quadrature-level covariance of the construction
-    up = pc.upper_context(1, [0.6])
-    lo = up.mirror()
-    u_up = lambda xs, ts: xs[:, 0] + ts  # any smooth field on the upper side
+def _pulled(f, divide_by_4tau2=False):
+    """f on the upper side read at the backward images of lower points."""
+
+    def g(xs, ts):
+        vals = f(*appell_map_arrays(xs, ts, pc.AppellDirection.BACKWARD))
+        return vals / (4.0 * ts * ts) if divide_by_4tau2 else vals
+
+    return g
+
+
+HU_UP = lambda xs, ts: -(1.0 + xs[:, 0] ** 2) * ts  # negative on the upper side
+
+# each functional as a tuple of floats, from (field, centre, context, operator)
+TRANSPORTED = {
+    "phi": lambda u, z, ctx, hu: (phi(u, 1.0, z, ctx).value,),
+    "mean_value": lambda u, z, ctx, hu: (mean_value(u, z, 1.0, ctx),),
+    "phi_prime_operator": lambda u, z, ctx, hu: (
+        phi_prime(u, 1.0, z, ctx, hu_operator=hu).value,
+    ),
+    "phi_prime_residual": lambda u, z, ctx, hu: (phi_prime(u, 1.0, z, ctx).value,),
+    "subparabolic_gap": lambda u, z, ctx, hu: tuple(
+        vars(subparabolic_gap(u, 0.5, z, ctx, hu_operator=hu)).values()
+    ),
+    "harnack_check": lambda u, z, ctx, hu: tuple(vars(harnack_check(u, z, 1.0, ctx)).values()),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("functional", sorted(TRANSPORTED))
+def test_scale_functional_transports_across_halfspaces(functional, dim):
+    # every upper functional is the lower one of the pulled-back field (and
+    # operator over 4 tau^2) on the image ball, with the same scale
+    up = pc.upper_context(dim, [0.6, -0.3][:dim])
+    u_up = lambda xs, ts: 2.0 + xs[:, 0] + ts  # smooth and positive near the balls
     ball_up = HeatBall(up, 1.0, 1.0)
     ball_lo = ball_up.appell_image()
-
-    def u_pulled(xs, ts):
-        return u_up(*appell_map_arrays(xs, ts, pc.AppellDirection.BACKWARD))
-
-    a = phi(u_up, 1.0, ball_up.center, up).value
-    b = phi(u_pulled, 1.0, ball_lo.center, lo).value
-    assert a == pytest.approx(b, rel=2e-3)
+    f = TRANSPORTED[functional]
+    a = f(u_up, ball_up.center, up, HU_UP)
+    b = f(_pulled(u_up), ball_lo.center, up.mirror(), _pulled(HU_UP, divide_by_4tau2=True))
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0), (a, b)
 
 
 def test_mean_value_makes_one_field_call_per_time_segment():

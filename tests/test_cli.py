@@ -420,12 +420,23 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("capacity.shell", {"kind": "lambda", "lam": 0.5, "n": 1}, "/parameters/shell/lam"),
         ("simulate.start", {"x": [0.0], "t": 1.0}, "/parameters/start/t"),
         ("simulate.grid", {"t_end": 5.0, "ratio": 0.8}, "/parameters/grid/t_end"),
+        ("mean_value.tol", -1, "/parameters/tol"),
+        ("mean_value.tol", 0, "/parameters/tol"),
+        ("mean_value.tol", float("nan"), "/parameters/tol"),
+        ("harnack.tol", -1, "/parameters/tol"),
+        ("harnack.tol", 0, "/parameters/tol"),
+        ("harnack.tol", float("nan"), "/parameters/tol"),
+        # "<task>.context.<key>" sets the key in that task's context instead
+        ("mean_value.context.gamma", [float("nan")], "/context/gamma"),
+        ("appell_check.step", float("nan"), "/parameters/step"),
+        ("appell_check.step", 0, "/parameters/step"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
     task, _, key = key.rpartition(".")
+    task, _, section = task.partition(".")
     cfg = json.loads(json.dumps(REPORT_KEYS_CASES[task or "series"][0]))
-    cfg["parameters"][key] = value
+    cfg[section or "parameters"][key] = value
     assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert pointer in err
