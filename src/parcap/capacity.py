@@ -27,7 +27,6 @@ from numbers import Integral
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .geometry import CompactSet, NodeCloud, Resolution, discretize
 from .kernel import PoleContext, SpaceTimePoint, kernel_ratio_matrix, log_pole_weight
@@ -47,6 +46,14 @@ __all__ = [
 
 # probe cloud seed of a solve that is given none
 PROBE_SEED = 74321
+
+
+def linprog(**problem):
+    """scipy.optimize.linprog, imported at the first solve: the import costs
+    more than a whole mean-value task, which solves no LP."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(**problem)
 
 
 @dataclass(frozen=True)

@@ -431,7 +431,6 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
     if not c_values:
         _err(errors, "/parameters/c_values", "expected at least one scale")
     t0 = _time_center(params, ctx, errors)
-    quad = _settings(QuadratureSpec, params, errors)
     if errors:
         raise ConfigError(errors)
 
@@ -450,7 +449,7 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
 
     results = []
     for c in map(float, c_values):
-        res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx, quad=quad)
+        res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx)
         results.append({"c": c, **to_jsonable(res)})
     report = _audit(ctx, seed, {
         "task": "harnack",
@@ -541,13 +540,15 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
     return 0 if ok else 1
 
 
+# each task's runner and the parameter keys it reads; any other key is an error
 _TASKS = {
-    "capacity": _run_capacity,
-    "series": _run_series,
-    "simulate": _run_simulate,
-    "mean-value": _run_mean_value,
-    "harnack": _run_harnack,
-    "appell-check": _run_appell_check,
+    "capacity": (_run_capacity, ("shell", "region", "time_center", *CONFIG_KEYS[Refinement])),
+    "series": (_run_series, ("region", "kind", "lam", "n_min", "n_max", "policy",
+                             *CONFIG_KEYS[Refinement])),
+    "simulate": (_run_simulate, ("start", "grid", "n_paths", "region", "deltas")),
+    "mean-value": (_run_mean_value, ("u", "c", "time_center", *CONFIG_KEYS[QuadratureSpec])),
+    "harnack": (_run_harnack, ("u", "c_values", "time_center")),
+    "appell-check": (_run_appell_check, ("n_points", "step")),
 }
 
 
@@ -580,8 +581,12 @@ def run_config(config_path, emit="both", seed_override=None, out_dir=".") -> int
     seed = int(seed_override) if seed_override is not None else int(seed_val)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    runner, keys = _TASKS[task]
+    for key in params:
+        if key not in keys:
+            _err(errors, f"/parameters/{key}", f"unknown key, expected one of {keys}")
     try:
-        return _TASKS[task](ctx, params, seed, out, emit, [])
+        return runner(ctx, params, seed, out, emit, errors)
     except ConfigError as exc:
         for e in exc.errors:
             print(f"error {e}", file=sys.stderr)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +433,14 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("mean_value.context.gamma", [float("nan")], "/context/gamma"),
         ("appell_check.step", float("nan"), "/parameters/step"),
         ("appell_check.step", 0, "/parameters/step"),
+        # keys a task does not read, refused at their own pointer
+        ("harnack.tol", 1e-3, "/parameters/tol"),
+        ("mean_value.tolerance", 1e-12, "/parameters/tolerance"),
+        ("mean_value.bogus", 3, "/parameters/bogus"),
+        ("series.time_center", -1.0, "/parameters/time_center"),
+        ("capacity.policy", {"window": 4}, "/parameters/policy"),
+        ("simulate.levels", [0], "/parameters/levels"),
+        ("appell_check.c", 1.0, "/parameters/c"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -441,6 +452,59 @@ def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, v
     err = capsys.readouterr().err
     assert pointer in err
     assert "Traceback" not in err and "/run" not in err
+
+
+def test_unknown_parameters_are_refused_before_any_compute(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "mean_value", lambda *args, **kwargs: calls.append(args))
+    cfg = json.loads(json.dumps(REPORT_KEYS_CASES["mean_value"][0]))
+    cfg["parameters"].update({"tolerance": 1e-12, "bogus": 3})
+    assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"error /parameters/{key}: unknown key, expected one of ('u', 'c', 'time_center', 'tol')"
+        for key in ("tolerance", "bogus")
+    ]
+
+
+_SCIPY_PROBE = """
+import json, sys
+import parcap.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in ("scipy", "scipy.optimize", "scipy.special") if m in sys.modules)
+
+loaded = [scipy_modules()]
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    # exit 1 is an error; 0 and 2 are completed runs
+    completed = cli.main(["run", config, "--emit", "json", "--out", out]) != 1
+    loaded.append([completed, scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
+    """In a fresh interpreter: importing the CLI and running the averaging and
+    exchange tasks loads no scipy; a simulation step loads scipy.special and
+    a capacity solve scipy.optimize."""
+    order = ["mean_value", "harnack", "appell_check", "simulate", "capacity"]
+    argv = []
+    for stem in order:
+        argv += [str(write_config(tmp_path, REPORT_KEYS_CASES[stem][0], f"{stem}.json")),
+                 str(tmp_path / stem)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded[0] == []
+    assert loaded[1:] == [
+        [True, []],
+        [True, []],
+        [True, []],
+        [True, ["scipy", "scipy.special"]],
+        [True, ["scipy", "scipy.optimize", "scipy.special"]],
+    ]
 
 
 def test_settings_reach_the_solver(tmp_path, monkeypatch):

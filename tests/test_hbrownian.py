@@ -53,6 +53,28 @@ def test_step_normals_keyed_streams():
     assert ks.pvalue > 0.01
 
 
+def _clipped_normals(seed, step, n_paths, dim):
+    """step_normals as a chain of fresh arrays with a two-sided clip: the
+    reference for the in-place form."""
+    from scipy.special import ndtri
+
+    key = np.array([np.uint64(seed), np.uint64(step)], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(n_paths * dim)
+    u = (raw >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    u = np.clip(u, 1e-16, 1.0 - 1e-16)
+    return ndtri(u).reshape(n_paths, dim)
+
+
+@pytest.mark.parametrize("seed, step", [(0, 0), (7, 5), (401, 1234), (2**64 - 1, 2**40)])
+def test_step_normals_match_the_clipped_reference_bit_for_bit(seed, step):
+    # the largest u is 1 - 2**-53, the double that 1 - 1e-16 rounds to, so
+    # the in-place form needs no upper clip
+    assert 1.0 - 1e-16 == 1.0 - 2.0**-53
+    for n_paths, dim in ((1, 1), (5000, 1), (3001, 2)):
+        assert np.array_equal(step_normals(seed, step, n_paths, dim),
+                              _clipped_normals(seed, step, n_paths, dim))
+
+
 def _numerical_transition_oracle(ctx, x0, t, tau):
     """Normalization and moments of the weighted transition density by
     quadrature; the independent check of the closed-form Gaussian law."""
