@@ -14,7 +14,9 @@ feasibility of the returned measure; violations are reported, never clipped.
 The solver is free as long as the certificates hold.  Here the LP goes to
 HiGHS by row generation: only a few percent of the collocation rows bind, so
 HiGHS sees a working set of rows that starts at each column's peak row and
-grows by every row whose potential exceeds 1, until none does.  The result
+grows by every row whose potential exceeds 1, until none does.  Each solve
+keeps one HiGHS model: a round adds only its new rows to it, and the dual
+simplex re-solves from the last basis instead of from scratch.  The result
 carries the feasibility maximum, the complementary slackness residual and
 the duality gap, all computed over every collocation row, not only the
 working set.
@@ -22,8 +24,10 @@ working set.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Integral
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -46,14 +50,6 @@ __all__ = [
 
 # probe cloud seed of a solve that is given none
 PROBE_SEED = 74321
-
-
-def linprog(**problem):
-    """scipy.optimize.linprog, imported at the first solve: the import costs
-    more than a whole mean-value task, which solves no LP."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(**problem)
 
 
 @dataclass(frozen=True)
@@ -246,50 +242,91 @@ def _unit_rays(rng, n, dim):
 # 1 by more than this: stricter than HiGHS's own 1e-7 row tolerance
 ROW_EXCESS = 1e-9
 
-# the dense packing program goes to HiGHS without presolve, which costs more
-# than it saves here; interior point is the fallback when simplex fails
-_METHODS = (("highs", {"presolve": False}), ("highs-ipm", None))
+# the oldest scipy whose bundled HiGHS binding this module is known to drive
+SCIPY_FLOOR = "1.17"
+
+
+def _highs_model(c):
+    """A HiGHS model over the columns x >= 0 with cost c and no rows, with
+    presolve and output off.  scipy's binding is imported here, at the first
+    LP: the import costs more than a whole mean-value task, which solves
+    none, and only a kept model re-solves from its last basis."""
+    try:
+        from scipy.optimize._highspy._core import _Highs
+    except ImportError as exc:
+        version = getattr(sys.modules.get("scipy"), "__version__", "not installed")
+        raise ImportError(
+            f"the capacity LP needs scipy >= {SCIPY_FLOOR}, whose HiGHS binding "
+            f"scipy.optimize._highspy._core._Highs it drives; scipy {version} lacks it"
+        ) from exc
+    model = _Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "off")
+    n = c.shape[0]
+    model.addCols(n, c, np.zeros(n), np.full(n, np.inf), 0,
+                  np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    return model
+
+
+def linprog(model, *, A_ub):
+    """Add the rows A_ub @ x <= 1 to model and re-solve it from its last
+    basis.  Returns x (None unless optimal), this run's simplex iterations
+    as nit, success and the model status as message."""
+    m = A_ub.shape[0]
+    rows, cols = np.nonzero(A_ub)
+    starts = np.searchsorted(rows, np.arange(m)).astype(np.int32)
+    model.addRows(m, np.full(m, -np.inf), np.ones(m), rows.size, starts,
+                  cols.astype(np.int32), A_ub[rows, cols])
+    model.run()
+    status = model.getModelStatus()
+    success = status == type(status).kOptimal
+    return SimpleNamespace(
+        x=np.asarray(model.getSolution().col_value) if success else None,
+        nit=int(model.getInfo().simplex_iteration_count),
+        success=success,
+        message=model.modelStatusToString(status),
+    )
 
 
 def _solve_by_rows(A, c, start, inv):
     """Minimize c @ x over x >= 0 with A @ x <= 1 by row generation.
 
-    HiGHS sees only a working set of rows, which starts at the rows in start
-    and grows by every row whose potential A @ x exceeds 1 + ROW_EXCESS.
-    Each round adds a row or ends the loop, and the last restricted optimum
-    is feasible on every row, so it is the optimum of the whole program.
+    One HiGHS model sees only a working set of rows, which starts at the
+    rows in start and grows by every row whose potential A @ x exceeds
+    1 + ROW_EXCESS.  Each round adds just those rows to the model, and its
+    dual simplex re-solves from the last basis.  Each round adds a row or
+    ends the loop, and the last restricted optimum is feasible on every row,
+    so it is the optimum of the whole program.
 
     Returns x, the row duals (zero off the working set), A @ x on every row
     and the solver facts.  Raises SolverFailure when a round fails; its best
     value is the last x, scaled onto every row, in the units of inv."""
+    model = _highs_model(c)
     working = np.zeros(A.shape[0], dtype=bool)
-    working[start] = True
-    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0, "lp_retry": False}
+    new = working.copy()
+    new[start] = True
+    added = []
+    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0}
     x = np.zeros(A.shape[1])
-    while True:
-        rows = np.flatnonzero(working)
-        sub = A[rows]
-        for method, options in _METHODS:
-            facts["lp_retry"] |= method == "highs-ipm"
-            res = linprog(c=c, A_ub=sub, b_ub=np.ones(rows.shape[0]), bounds=(0.0, None),
-                          method=method, options=options)
-            facts["lp_iterations"] += int(res.nit)
-            if res.x is not None:
-                x = np.maximum(res.x, 0.0)
-            if res.success:
-                break
+    while np.any(new):
+        rows = np.flatnonzero(new)
+        res = linprog(model, A_ub=A[rows])
+        added.append(rows)
+        working |= new
         facts["lp_rounds"] += 1
-        facts["lp_rows"] = int(rows.shape[0])
+        facts["lp_rows"] += int(rows.shape[0])
+        facts["lp_iterations"] += int(res.nit)
+        if res.x is not None:
+            x = np.maximum(res.x, 0.0)
         pots = A @ x
         if not res.success:
             best = float(np.sum(x * inv)) / max(1.0, float(np.max(pots)))
             raise SolverFailure(f"LP failed: {res.message}", best)
         new = ~working & (pots > 1.0 + ROW_EXCESS)
-        if not np.any(new):
-            duals = np.zeros(A.shape[0])
-            duals[rows] = -np.asarray(res.ineqlin.marginals, dtype=float)
-            return x, duals, pots, facts
-        working |= new
+    # the model holds its rows in the order they were added
+    duals = np.zeros(A.shape[0])
+    duals[np.concatenate(added)] = -np.asarray(model.getSolution().row_dual)
+    return x, duals, pots, facts
 
 
 def capacity(

@@ -113,6 +113,13 @@ def _get(obj, key, pointer, errors, required=True, types=None, choices=None, def
     return default
 
 
+def _known(obj, keys, pointer, errors):
+    """An error at pointer/key for each key of obj that is not among keys."""
+    for key in obj:
+        if key not in keys:
+            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {keys}")
+
+
 def _parse_context(cfg, errors) -> PoleContext | None:
     ctx_obj = _get(cfg, "context", "", errors, types=dict)
     if ctx_obj is None:
@@ -200,6 +207,9 @@ def _time_center(params, ctx, errors) -> float:
     return default_time_center(ctx)
 
 
+# the keys of each capacity shell kind
+_SHELL_KEYS = {"dyadic": ("kind", "n"), "lambda": ("kind", "lam", "n"), "ball": ("kind", "scale")}
+
 # CSV files not named <stem>_table.csv
 _CSV_FILE = {"capacity": "capacity_measure.csv", "simulate": "simulate_paths.csv"}
 
@@ -267,7 +277,9 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
     shell = None
     if shell_obj is not None:
         kind = _get(shell_obj, "kind", "/parameters/shell", errors, types=str,
-                    choices={"dyadic", "lambda", "ball"})
+                    choices=set(_SHELL_KEYS))
+        if kind in _SHELL_KEYS:
+            _known(shell_obj, _SHELL_KEYS[kind], "/parameters/shell", errors)
         if kind == "dyadic":
             n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
             if n is not None:
@@ -350,6 +362,7 @@ def _run_series(ctx, params, seed, out, emit, errors):
 
 def _run_simulate(ctx, params, seed, out, emit, errors):
     start_obj = _get(params, "start", "/parameters", errors, types=dict, default={})
+    _known(start_obj, ("x", "t"), "/parameters/start", errors)
     x0 = _get(start_obj, "x", "/parameters/start", errors, types=list, items=NUMBER)
     if x0 is not None and len(x0) != ctx.dim:
         _err(errors, "/parameters/start/x", f"needs {ctx.dim} components, got {len(x0)}")
@@ -393,7 +406,8 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
 
 
 def _run_mean_value(ctx, params, seed, out, emit, errors):
-    u_obj = _get(params, "u", "/parameters", errors, types=dict)
+    u_obj = _get(params, "u", "/parameters", errors, types=dict, default={})
+    _known(u_obj, ("kind",), "/parameters/u", errors)
     c = float(_get(params, "c", "/parameters", errors, required=False, types=NUMBER,
                    above=0, default=1.0))
     t0 = _time_center(params, ctx, errors)
@@ -424,6 +438,7 @@ def _run_mean_value(ctx, params, seed, out, emit, errors):
 def _run_harnack(ctx, params, seed, out, emit, errors):
     u_obj = _get(params, "u", "/parameters", errors, required=False, types=dict,
                  default={"kind": "one"})
+    _known(u_obj, ("kind",), "/parameters/u", errors)
     kind = _get(u_obj, "kind", "/parameters/u", errors, types=str,
                 choices={"one", "source_ratio"})
     c_values = _get(params, "c_values", "/parameters", errors, required=False, types=list,
@@ -582,9 +597,7 @@ def run_config(config_path, emit="both", seed_override=None, out_dir=".") -> int
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner, keys = _TASKS[task]
-    for key in params:
-        if key not in keys:
-            _err(errors, f"/parameters/{key}", f"unknown key, expected one of {keys}")
+    _known(params, keys, "/parameters", errors)
     try:
         return runner(ctx, params, seed, out, emit, errors)
     except ConfigError as exc:

@@ -1,10 +1,13 @@
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parcap as pc
 from parcap.capacity import (
+    SCIPY_FLOOR,
     Refinement,
     build_collocation,
     capacity,
@@ -308,6 +311,23 @@ def _full_matrix_optimum(cloud, coll):
     return float(np.sum(ref.x)), K
 
 
+def _cold_iterations(K, rounds):
+    """Dual simplex iterations of solving each round's working set from
+    scratch, with the solve's scaled cost and without presolve."""
+    from scipy.optimize import linprog
+
+    inv = 1.0 / K.max(axis=0)
+    c = -(inv / np.max(inv))
+    total = 0
+    for k in range(1, len(rounds) + 1):
+        rows = np.concatenate(rounds[:k])
+        cold = linprog(c, A_ub=rows, b_ub=np.ones(rows.shape[0]), bounds=(0.0, None),
+                       method="highs-ds", options={"presolve": False})
+        assert cold.success
+        total += cold.nit
+    return total
+
+
 @pytest.mark.parametrize(
     "ctx, region, resolution",
     [
@@ -317,7 +337,16 @@ def _full_matrix_optimum(cloud, coll):
     ],
     ids=["lower_shell_1d", "upper_cut_1d", "lower_shell_2d"],
 )
-def test_row_generation_matches_the_full_matrix_program(ctx, region, resolution):
+def test_row_generation_matches_the_full_matrix_program(monkeypatch, ctx, region, resolution):
+    cap_module = sys.modules[capacity.__module__]
+    solve = cap_module.linprog
+    rounds = []
+
+    def recording_linprog(model, *, A_ub):
+        rounds.append(np.array(A_ub))
+        return solve(model, A_ub=A_ub)
+
+    monkeypatch.setattr(cap_module, "linprog", recording_linprog)
     cloud = discretize(pc.CompactSet(pc.dyadic_shell(ctx, 1), region), resolution)
     coll = build_collocation(cloud)
     res = capacity(cloud, collocation=coll)
@@ -334,7 +363,17 @@ def test_row_generation_matches_the_full_matrix_program(ctx, region, resolution)
     assert res.max_potential <= 1.0 + 1e-7
     assert res.duality_gap <= 1e-9 and res.comp_slack_residual <= 1e-9
     assert diag["lp_rounds"] >= 2 and diag["lp_rows"] < diag["n_collocation"]
-    assert diag["lp_iterations"] > 0 and diag["lp_retry"] is False
+    assert diag["lp_iterations"] > 0
+    # every round adds rows the model has not seen: no row comes more often
+    # than the scaled matrix holds it (neighbouring guards share lateral
+    # companions), and the model ends with the working set
+    assert np.all(K.max(axis=0) > 0.0) and len(rounds) == diag["lp_rounds"]
+    held = Counter(row.tobytes() for row in K / K.max(axis=0))
+    added = np.concatenate(rounds)
+    assert all(n <= held[row] for row, n in Counter(r.tobytes() for r in added).items())
+    assert added.shape[0] == diag["lp_rows"]
+    # each round re-solves from the last basis, not from scratch
+    assert diag["lp_iterations"] < _cold_iterations(K, rounds)
 
 
 class _FailedSolve:
@@ -351,8 +390,8 @@ def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
     cap_module = sys.modules[capacity.__module__]
     calls = []
 
-    def failing_linprog(c, *, A_ub, **kwargs):
-        calls.append(kwargs["method"])
+    def failing_linprog(model, *, A_ub):
+        calls.append(A_ub.shape[0])
         return _FailedSolve(np.ones(A_ub.shape[1]) if iterate == "ones" else None)
 
     monkeypatch.setattr(cap_module, "linprog", failing_linprog)
@@ -360,7 +399,8 @@ def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
     cloud = discretize(pc.CompactSet(pc.dyadic_shell(lo, 0), None), Resolution(level=0))
     with pytest.raises(pc.SolverFailure) as info:
         capacity(cloud)
-    assert calls == ["highs", "highs-ipm"]
+    # one run per round and no retry: the first round fails the solve
+    assert len(calls) == 1
     best = info.value.best_value
     if iterate == "none":
         assert best == 0.0
@@ -379,8 +419,25 @@ def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
 def test_failure_in_capacity_of_region_keeps_the_feasible_value(monkeypatch):
     cap_module = sys.modules[capacity.__module__]
     monkeypatch.setattr(cap_module, "linprog",
-                        lambda c, *, A_ub, **kw: _FailedSolve(np.ones(A_ub.shape[1])))
+                        lambda model, *, A_ub: _FailedSolve(np.ones(A_ub.shape[1])))
     compact = pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None)
     res = capacity_of_region(compact, refinement=Refinement(levels=(0,)))
     assert not res.converged and "solver_failure" in res.diagnostics
     assert res.history[0][1] == res.value > 0.0
+
+
+def test_a_scipy_without_the_highs_binding_is_named(monkeypatch):
+    import scipy
+
+    # a None entry makes the import of that module fail
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    cloud = discretize(pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None),
+                       Resolution(level=0))
+    with pytest.raises(ImportError) as info:
+        capacity(cloud)
+    message = str(info.value)
+    assert f"scipy >= {SCIPY_FLOOR}" in message
+    assert f"scipy {scipy.__version__} lacks it" in message
+    # the floor the message names is the one the package declares
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'"scipy>={SCIPY_FLOOR}"' in pyproject.read_text()

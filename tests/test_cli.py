@@ -253,7 +253,7 @@ REPORT_KEYS_CASES = {
                         "resolution": {"base_time": 6, "base_radial": 2}}},
         {"comp_slack_residual", "context", "context.dim", "context.gamma",
          "context.half_space", "converged", "criterion", "diagnostics",
-         "diagnostics.lp_iterations", "diagnostics.lp_retry", "diagnostics.lp_rounds",
+         "diagnostics.lp_iterations", "diagnostics.lp_rounds",
          "diagnostics.lp_rows", "diagnostics.n_candidates", "diagnostics.n_collocation",
          "diagnostics.n_nodes", "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
          "measure.masses", "measure.nodes_t", "measure.nodes_x", "probe_max_potential",
@@ -441,6 +441,13 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("capacity.policy", {"window": 4}, "/parameters/policy"),
         ("simulate.levels", [0], "/parameters/levels"),
         ("appell_check.c", 1.0, "/parameters/c"),
+        # keys a task does not read inside its nested objects
+        ("mean_value.u", {"kind": "caloric_quadratic", "scale": 5}, "/parameters/u/scale"),
+        ("harnack.u", {"kind": "one", "c": 2.0}, "/parameters/u/c"),
+        ("capacity.shell", {"kind": "dyadic", "n": 0, "scale": 2.0}, "/parameters/shell/scale"),
+        ("capacity.shell", {"kind": "ball", "scale": 1.0, "n": 3}, "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "lambda", "lam": 2.0, "n": 1, "m": 2}, "/parameters/shell/m"),
+        ("simulate.start", {"x": [0.0], "t": -1.0, "dt": 0.1}, "/parameters/start/dt"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -472,7 +479,8 @@ import json, sys
 import parcap.cli as cli
 
 def scipy_modules():
-    return sorted(m for m in ("scipy", "scipy.optimize", "scipy.special") if m in sys.modules)
+    return sorted(m for m in ("scipy", "scipy.optimize", "scipy.optimize._highspy",
+                              "scipy.special") if m in sys.modules)
 
 loaded = [scipy_modules()]
 for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
@@ -486,7 +494,7 @@ print(json.dumps(loaded))
 def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
     """In a fresh interpreter: importing the CLI and running the averaging and
     exchange tasks loads no scipy; a simulation step loads scipy.special and
-    a capacity solve scipy.optimize."""
+    a capacity solve scipy.optimize with its HiGHS binding."""
     order = ["mean_value", "harnack", "appell_check", "simulate", "capacity"]
     argv = []
     for stem in order:
@@ -503,7 +511,7 @@ def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
         [True, []],
         [True, []],
         [True, ["scipy", "scipy.special"]],
-        [True, ["scipy", "scipy.optimize", "scipy.special"]],
+        [True, ["scipy", "scipy.optimize", "scipy.optimize._highspy", "scipy.special"]],
     ]
 
 
