@@ -70,6 +70,7 @@ class QuadratureSpec:
     under tol on smooth integrands, else the operation raises.
     """
 
+    CONFIG_KEYS = ("tol",)
     gauss_points: int = 8
     radial_points: int = 12
     angular_points: int = 16

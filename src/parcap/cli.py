@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
-from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,6 @@ from .capacity import Refinement, capacity_of_region
 from .geometry import (
     CompactSet,
     HeatBall,
-    Resolution,
     default_time_center,
     dyadic_shell,
     level_shell,
@@ -42,8 +39,8 @@ from .kernel import (
     log_pole_weight,
     point,
 )
-from .regions import Region, region_from_json
-from .reporting import dump_csv, dump_json, to_jsonable
+from .regions import Region
+from .reporting import dump_csv, dump_json, parse_fields, parse_value, to_jsonable, typed
 from .wiener import DYADIC_RANGE, ClassifyPolicy, Verdict, lambda_series_terms, series_terms
 
 CRITERION_TEXT = (
@@ -57,15 +54,6 @@ CRITERION_TEXT = (
 # smallest shrink factor of the operator-transfer residual under step halving
 HALVING_MIN = 3.0
 NUMBER = (int, float)
-
-# the config keys of each settings dataclass
-CONFIG_KEYS = {
-    Refinement: ("levels", "tol", "rel_stall", "resolution"),
-    Resolution: ("base_time", "base_radial", "base_angular", "base_polar"),
-    ClassifyPolicy: ("eps_slope", "rho_max", "window", "min_terms"),
-    QuadratureSpec: ("tol",),
-    GridPolicy: ("t_end", "ratio"),
-}
 
 
 class ConfigError(ValueError):
@@ -82,11 +70,6 @@ def _err(errors, pointer, message):
     errors.append(f"{pointer}: {message}")
 
 
-def _typed(val, types) -> bool:
-    # no config value is a bool, so true and false are no numbers either
-    return isinstance(val, types) and not isinstance(val, bool)
-
-
 def _get(obj, key, pointer, errors, required=True, types=None, choices=None, default=None,
          items=None, least=None, above=None):
     """obj[key] if it is of types, its items of items, among choices, and
@@ -98,9 +81,9 @@ def _get(obj, key, pointer, errors, required=True, types=None, choices=None, def
         return default
     val = obj[key]
     nums = val if items is not None else [val]
-    if types is not None and not _typed(val, types):
+    if types is not None and not typed(val, types):
         _err(errors, f"{pointer}/{key}", f"expected {types}, got {type(val).__name__}")
-    elif items is not None and not all(_typed(v, items) for v in val):
+    elif items is not None and not all(typed(v, items) for v in val):
         _err(errors, f"{pointer}/{key}", f"expected a list of {items}, got {val!r}")
     elif choices is not None and val not in choices:
         _err(errors, f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {val!r}")
@@ -140,58 +123,19 @@ def _parse_context(cfg, errors) -> PoleContext | None:
         return None
 
 
-def _parse_region(params, key, pointer, errors, required=False) -> Region | None:
-    obj = params.get(key)
-    if obj is None:
-        if required:
-            _err(errors, f"{pointer}/{key}", "missing region description")
+def _parse_region(params, ctx, errors, required=False) -> Region | None:
+    """The region at /parameters/region, read in ctx; None if not required
+    and not given."""
+    obj = params.get("region")
+    if obj is None and not required:
         return None
-    try:
-        return region_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        _err(errors, f"{pointer}/{key}", f"bad region: {exc}")
-        return None
-
-
-def _parse_fields(cls, obj, pointer, errors, **given):
-    """cls from the config object at pointer and the fields in given: each
-    key one of the class's CONFIG_KEYS, with a value of its field's type; the
-    fields the object leaves out keep their defaults.  A value the class
-    rejects is an error at the key its message names first.  None after an
-    error."""
-    obj = {} if obj is None else obj
-    if not isinstance(obj, dict):
-        _err(errors, pointer, f"expected an object, got {type(obj).__name__}")
-        return None
-    hints = typing.get_type_hints(cls)
-    n_errors = len(errors)
-    for key, val in obj.items():
-        hint = hints[key] if key in CONFIG_KEYS[cls] else None
-        if hint is None:
-            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {CONFIG_KEYS[cls]}")
-        elif hint in (int, float) and _typed(val, (int, hint)):
-            given[key] = hint(val)
-        elif hint == tuple[int, ...] and isinstance(val, list):
-            given[key] = tuple(val)
-        elif is_dataclass(hint):
-            given[key] = _parse_fields(hint, val, f"{pointer}/{key}", errors)
-        else:
-            want = {int: "an integer", float: "a number"}.get(hint, "a list")
-            _err(errors, f"{pointer}/{key}", f"expected {want}, got {val!r}")
-    if len(errors) > n_errors:
-        return None
-    try:
-        return cls(**given)
-    except (TypeError, ValueError) as exc:
-        key = str(exc).split()[0]
-        _err(errors, f"{pointer}/{key}" if key in obj else pointer, str(exc))
-        return None
+    return parse_value(Region, obj, "/parameters/region", errors, ctx)
 
 
 def _settings(cls, params, errors):
-    """cls from its keys among the task parameters."""
-    own = {k: v for k, v in params.items() if k in CONFIG_KEYS[cls]}
-    return _parse_fields(cls, own, "/parameters", errors)
+    """cls from its CONFIG_KEYS among the task parameters."""
+    own = {k: v for k, v in params.items() if k in cls.CONFIG_KEYS}
+    return parse_fields(cls, own, "/parameters", errors)
 
 
 def _time_center(params, ctx, errors) -> float:
@@ -271,7 +215,7 @@ def _audit(ctx, seed, extra):
 
 def _run_capacity(ctx, params, seed, out, emit, errors):
     shell_obj = _get(params, "shell", "/parameters", errors, types=dict)
-    region = _parse_region(params, "region", "/parameters", errors)
+    region = _parse_region(params, ctx, errors)
     refinement = _settings(Refinement, params, errors)
     t0 = _time_center(params, ctx, errors)
     shell = None
@@ -322,7 +266,7 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
 
 
 def _run_series(ctx, params, seed, out, emit, errors):
-    region = _parse_region(params, "region", "/parameters", errors, required=True)
+    region = _parse_region(params, ctx, errors, required=True)
     kind = _get(params, "kind", "/parameters", errors, required=False, types=str,
                 choices={"dyadic", "lambda"}) or "dyadic"
     lam = _get(params, "lam", "/parameters", errors, required=kind == "lambda",
@@ -332,7 +276,7 @@ def _run_series(ctx, params, seed, out, emit, errors):
     n_max = _get(params, "n_max", "/parameters", errors, required=False, types=int,
                  default=DYADIC_RANGE.stop - 1)
     refinement = _settings(Refinement, params, errors)
-    policy = _parse_fields(ClassifyPolicy, params.get("policy"), "/parameters/policy", errors)
+    policy = parse_fields(ClassifyPolicy, params.get("policy"), "/parameters/policy", errors)
     if errors:
         raise ConfigError(errors)
 
@@ -367,10 +311,10 @@ def _run_simulate(ctx, params, seed, out, emit, errors):
     if x0 is not None and len(x0) != ctx.dim:
         _err(errors, "/parameters/start/x", f"needs {ctx.dim} components, got {len(x0)}")
     t0 = _get(start_obj, "t", "/parameters/start", errors, types=NUMBER)
-    grid = _parse_fields(GridPolicy, _get(params, "grid", "/parameters", errors, types=dict),
+    grid = parse_fields(GridPolicy, _get(params, "grid", "/parameters", errors, types=dict),
                          "/parameters/grid", errors, t_start=None if t0 is None else float(t0))
     n_paths = _get(params, "n_paths", "/parameters", errors, types=int, least=0)
-    region = _parse_region(params, "region", "/parameters", errors)
+    region = _parse_region(params, ctx, errors)
     deltas = _get(params, "deltas", "/parameters", errors, required=False, types=list,
                   items=NUMBER)
     for pointer, t in (("/parameters/start/t", t0),
@@ -557,11 +501,11 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
 
 # each task's runner and the parameter keys it reads; any other key is an error
 _TASKS = {
-    "capacity": (_run_capacity, ("shell", "region", "time_center", *CONFIG_KEYS[Refinement])),
+    "capacity": (_run_capacity, ("shell", "region", "time_center", *Refinement.CONFIG_KEYS)),
     "series": (_run_series, ("region", "kind", "lam", "n_min", "n_max", "policy",
-                             *CONFIG_KEYS[Refinement])),
+                             *Refinement.CONFIG_KEYS)),
     "simulate": (_run_simulate, ("start", "grid", "n_paths", "region", "deltas")),
-    "mean-value": (_run_mean_value, ("u", "c", "time_center", *CONFIG_KEYS[QuadratureSpec])),
+    "mean-value": (_run_mean_value, ("u", "c", "time_center", *QuadratureSpec.CONFIG_KEYS)),
     "harnack": (_run_harnack, ("u", "c_values", "time_center")),
     "appell-check": (_run_appell_check, ("n_points", "step")),
 }

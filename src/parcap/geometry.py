@@ -226,12 +226,22 @@ def ball_radius(t_or_tau: float, ball: HeatBall) -> float:
 # regions built from balls
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class HeatBallRegion(Region):
-    """A heat ball as a CSG leaf; the context arrives at membership time."""
+    """A heat ball as a CSG leaf; the context arrives at membership time, and
+    time_center None stands for its default time center."""
 
-    def __init__(self, time_center: float | None, scale: float):
-        self.time_center = time_center
-        self.scale = float(scale)
+    kind = "heat_ball"
+    time_center: Optional[float]
+    scale: float
+
+    def __post_init__(self):
+        if self.scale <= 0.0:
+            raise ValueError("scale must be positive")
+
+    def check_context(self, ctx: PoleContext) -> None:
+        if self.time_center is not None and not ctx.admits(self.time_center):
+            raise ValueError(f"time_center {self.time_center} is outside the half-space")
 
     def _ball(self, ctx: PoleContext) -> HeatBall:
         t0 = default_time_center(ctx) if self.time_center is None else self.time_center
@@ -239,13 +249,6 @@ class HeatBallRegion(Region):
 
     def contains(self, xs, ts, ctx):
         return self._ball(ctx).contains(xs, ts)
-
-    def to_json(self):
-        return {
-            "kind": "heat_ball",
-            "time_center": self.time_center,
-            "scale": self.scale,
-        }
 
 
 def harnack_region(time_center: float, c: float, ctx: PoleContext) -> Region:
@@ -268,6 +271,7 @@ def harnack_region(time_center: float, c: float, ctx: PoleContext) -> Region:
 class Resolution:
     """Refinement level over base cell counts; each level halves spacing."""
 
+    CONFIG_KEYS = ("base_time", "base_radial", "base_angular", "base_polar")
     level: int = 0
     base_time: int = 12
     base_radial: int = 3

@@ -6,9 +6,10 @@ half-spaces and tubes around an axis; boolean nodes combine them.  Tube
 profiles may be closed-form or tabulated (piecewise-linear, so membership is
 deterministic and resolution-independent).
 
-Regions serialize to and from plain JSON dicts; the schema is one object per
-node with a "kind" tag, parameters, and nested children.  Tube profile tables
-round-trip through CSV files of (t, f(t)) rows.
+Every node is a frozen dataclass whose ``kind`` class attribute tags its
+JSON object, the other keys being exactly its fields; `reporting.to_jsonable`
+writes nodes and `reporting.parse_value` reads them, each error at its JSON
+pointer.  Tube profile tables round-trip through CSV files of (t, f(t)) rows.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .kernel import DomainError, HalfSpace, PoleContext
+from .reporting import parse_value, to_jsonable
 
 __all__ = [
     "Region",
@@ -44,15 +45,17 @@ __all__ = [
 
 
 class Region(ABC):
-    """Membership predicate over one half-space, total on that half-space."""
+    """Membership predicate over one half-space, total on that half-space.
+
+    A node valid only in some contexts defines ``check_context(ctx)``, and one
+    whose children live in another context ``child_context(ctx)``."""
 
     @abstractmethod
     def contains(self, xs: np.ndarray, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:
         """Boolean mask for points (xs[i], ts[i]); xs is (M, N), ts is (M,)."""
 
-    @abstractmethod
     def to_json(self) -> dict:
-        ...
+        return to_jsonable(self)
 
     def contains_point(self, x, t, ctx) -> bool:
         xs = np.atleast_2d(np.asarray(x, dtype=float))
@@ -74,81 +77,65 @@ class TubeProfile(ABC):
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         ...
 
-    @abstractmethod
-    def to_json(self) -> dict:
-        ...
-
 
 @dataclass(frozen=True)
 class ConstProfile(TubeProfile):
+    kind = "const"
     value: float
 
     def __call__(self, ts):
         return np.full(np.asarray(ts).shape, float(self.value))
-
-    def to_json(self):
-        return {"kind": "const", "value": self.value}
 
 
 @dataclass(frozen=True)
 class PowerProfile(TubeProfile):
     """f(t) = coef * |t|^exponent; the sqrt profile is exponent 0.5."""
 
+    kind = "power"
     coef: float
     exponent: float
 
     def __call__(self, ts):
         return self.coef * np.abs(np.asarray(ts, dtype=float)) ** self.exponent
 
-    def to_json(self):
-        return {"kind": "power", "coef": self.coef, "exponent": self.exponent}
 
-
+@dataclass(frozen=True, eq=False)  # eq=False: an array field has no truth value
 class TableProfile(TubeProfile):
-    """Tabulated radius, linear between knots, clamped outside the table."""
+    """Tabulated radius, linear between knots, clamped outside the table;
+    points are held as a (K, 2) array sorted by t."""
 
-    def __init__(self, points: Sequence[Sequence[float]]):
-        pts = np.asarray(points, dtype=float)
+    kind = "table"
+    points: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("table profile needs at least two (t, f) rows")
-        order = np.argsort(pts[:, 0])
-        self._t = pts[order, 0]
-        self._f = pts[order, 1]
-        if np.any(self._f < 0):
-            raise ValueError("tube profile must be nonnegative")
+            raise ValueError("points must hold at least two (t, f) rows")
+        pts = pts[np.argsort(pts[:, 0])]
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_t", pts[:, 0].copy())
+        object.__setattr__(self, "_f", pts[:, 1].copy())
+        if not np.all(self._f >= 0):
+            raise ValueError("points must have f >= 0: a tube profile is nonnegative")
 
     def __call__(self, ts):
         return np.interp(np.asarray(ts, dtype=float), self._t, self._f)
 
-    def to_json(self):
-        return {
-            "kind": "table",
-            "points": [[float(a), float(b)] for a, b in zip(self._t, self._f)],
-        }
-
-
-def _profile_from_json(obj: dict) -> TubeProfile:
-    kind = obj.get("kind")
-    if kind == "const":
-        return ConstProfile(float(obj["value"]))
-    if kind == "power":
-        return PowerProfile(float(obj["coef"]), float(obj["exponent"]))
-    if kind == "table":
-        return TableProfile(obj["points"])
-    raise ValueError(f"unknown profile kind {kind!r}")
-
 
 def tube_profile_from_csv(path) -> TableProfile:
-    """Load a (t, f(t)) table; header rows are skipped if non-numeric."""
-    rows = []
+    """Load a (t, f(t)) table.  A non-numeric first row is a header and
+    skipped; any later row not of two numbers is an error naming its line."""
+    rows, first = [], True
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
+        for line, rec in enumerate(csv.reader(fh), start=1):
             if not rec:
                 continue
             try:
                 rows.append((float(rec[0]), float(rec[1])))
-            except ValueError:
-                continue
+            except (ValueError, IndexError):
+                if not first:
+                    raise ValueError(f"{path}, line {line}: expected t,f, got {rec}") from None
+            first = False
     return TableProfile(rows)
 
 
@@ -158,26 +145,25 @@ def tube_profile_from_csv(path) -> TableProfile:
 
 @dataclass(frozen=True)
 class EmptyRegion(Region):
+    kind = "empty"
+
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)
         return np.zeros(ts.shape, dtype=bool)
 
-    def to_json(self):
-        return {"kind": "empty"}
-
 
 @dataclass(frozen=True)
 class FullRegion(Region):
+    kind = "full"
+
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)
         return np.ones(ts.shape, dtype=bool)
 
-    def to_json(self):
-        return {"kind": "full"}
-
 
 @dataclass(frozen=True)
 class TimeSlab(Region):
+    kind = "time_slab"
     t_min: float
     t_max: float
 
@@ -185,50 +171,50 @@ class TimeSlab(Region):
         _, ts = _as_batch(xs, ts)
         return (ts >= self.t_min) & (ts <= self.t_max)
 
-    def to_json(self):
-        return {"kind": "time_slab", "t_min": self.t_min, "t_max": self.t_max}
 
-
+@dataclass(frozen=True, eq=False)
 class SpaceBall(Region):
-    """|x - center| <= radius at every time."""
+    """|x - center| <= radius at every time; center is held as an array."""
 
-    def __init__(self, center, radius: float):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
+    kind = "space_ball"
+    center: tuple[float, ...]
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
+
+    def check_context(self, ctx):
+        if self.center.size != ctx.dim:
+            raise ValueError(f"center needs {ctx.dim} components, got {self.center.size}")
 
     def contains(self, xs, ts, ctx):
         xs, _ = _as_batch(xs, ts)
         return np.sum((xs - self.center) ** 2, axis=1) <= self.radius**2
 
-    def to_json(self):
-        return {
-            "kind": "space_ball",
-            "center": [float(v) for v in self.center],
-            "radius": self.radius,
-        }
 
-
+@dataclass(frozen=True, eq=False)
 class HalfSpaceCut(Region):
-    """Spatial half-space <normal, x> <= offset."""
+    """Spatial half-space <normal, x> <= offset; normal is held as an array."""
 
-    def __init__(self, normal, offset: float):
-        self.normal = np.atleast_1d(np.asarray(normal, dtype=float))
-        self.offset = float(offset)
+    kind = "half_space"
+    normal: tuple[float, ...]
+    offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", np.atleast_1d(np.asarray(self.normal, dtype=float)))
+
+    def check_context(self, ctx):
+        if self.normal.size != ctx.dim:
+            raise ValueError(f"normal needs {ctx.dim} components, got {self.normal.size}")
 
     def contains(self, xs, ts, ctx):
         xs, _ = _as_batch(xs, ts)
         return xs @ self.normal <= self.offset
 
-    def to_json(self):
-        return {
-            "kind": "half_space",
-            "normal": [float(v) for v in self.normal],
-            "offset": self.offset,
-        }
 
-
+@dataclass(frozen=True)
 class Tube(Region):
     """Points within profile distance of an axis: |x - axis(t)| <= f(t).
 
@@ -236,11 +222,13 @@ class Tube(Region):
     moving center x = -2 t gamma natural to the lower half-space.
     """
 
-    def __init__(self, profile: TubeProfile, axis: str = "pole"):
-        if axis not in ("pole", "drift"):
-            raise ValueError(f"axis must be 'pole' or 'drift', got {axis!r}")
-        self.profile = profile
-        self.axis = axis
+    kind = "tube"
+    profile: TubeProfile
+    axis: str = "pole"
+
+    def __post_init__(self):
+        if self.axis not in ("pole", "drift"):
+            raise ValueError(f"axis must be 'pole' or 'drift', got {self.axis!r}")
 
     def _axis_points(self, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:
         # the pole line is the upper half-space's axis, the drift line the
@@ -254,17 +242,18 @@ class Tube(Region):
         d2 = np.sum((xs - self._axis_points(ts, ctx)) ** 2, axis=1)
         return d2 <= rad**2
 
-    def to_json(self):
-        return {"kind": "tube", "axis": self.axis, "profile": self.profile.to_json()}
-
 
 # ---------------------------------------------------------------------------
 # boolean nodes
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Union(Region):
-    def __init__(self, children: Sequence[Region]):
-        self.children = list(children)
+    kind = "union"
+    children: tuple[Region, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", tuple(self.children))
 
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
@@ -273,13 +262,14 @@ class Union(Region):
             out |= ch.contains(xs, ts, ctx)
         return out
 
-    def to_json(self):
-        return {"kind": "union", "children": [c.to_json() for c in self.children]}
 
-
+@dataclass(frozen=True)
 class Intersection(Region):
-    def __init__(self, children: Sequence[Region]):
-        self.children = list(children)
+    kind = "intersection"
+    children: tuple[Region, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", tuple(self.children))
 
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
@@ -288,25 +278,18 @@ class Intersection(Region):
             out &= ch.contains(xs, ts, ctx)
         return out
 
-    def to_json(self):
-        return {
-            "kind": "intersection",
-            "children": [c.to_json() for c in self.children],
-        }
 
-
+@dataclass(frozen=True)
 class Complement(Region):
-    def __init__(self, child: Region):
-        self.child = child
+    kind = "complement"
+    child: Region
 
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
         return ~self.child.contains(xs, ts, ctx)
 
-    def to_json(self):
-        return {"kind": "complement", "child": self.child.to_json()}
 
-
+@dataclass(frozen=True)
 class AppellImage(Region):
     """Image of a region from the opposite half-space under the point map.
 
@@ -314,8 +297,12 @@ class AppellImage(Region):
     child (evaluated in the mirrored context).
     """
 
-    def __init__(self, child: Region):
-        self.child = child
+    kind = "appell_image"
+    child: Region
+
+    @staticmethod
+    def child_context(ctx: PoleContext) -> PoleContext:
+        return ctx.mirror()
 
     def contains(self, xs, ts, ctx):
         from .appell import AppellDirection, appell_map_arrays
@@ -330,41 +317,12 @@ class AppellImage(Region):
         ys, taus = appell_map_arrays(xs, ts, direction)
         return self.child.contains(ys, taus, ctx.mirror())
 
-    def to_json(self):
-        return {"kind": "appell_image", "child": self.child.to_json()}
 
-
-# ---------------------------------------------------------------------------
-# JSON factory
-# ---------------------------------------------------------------------------
-
-def region_from_json(obj: dict) -> Region:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("region node must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "empty":
-        return EmptyRegion()
-    if kind == "full":
-        return FullRegion()
-    if kind == "time_slab":
-        return TimeSlab(float(obj["t_min"]), float(obj["t_max"]))
-    if kind == "space_ball":
-        return SpaceBall(obj["center"], float(obj["radius"]))
-    if kind == "half_space":
-        return HalfSpaceCut(obj["normal"], float(obj["offset"]))
-    if kind == "tube":
-        return Tube(_profile_from_json(obj["profile"]), obj.get("axis", "pole"))
-    if kind == "union":
-        return Union([region_from_json(c) for c in obj["children"]])
-    if kind == "intersection":
-        return Intersection([region_from_json(c) for c in obj["children"]])
-    if kind == "complement":
-        return Complement(region_from_json(obj["child"]))
-    if kind == "appell_image":
-        return AppellImage(region_from_json(obj["child"]))
-    if kind == "heat_ball":
-        from .geometry import HeatBallRegion
-
-        tc = obj.get("time_center")
-        return HeatBallRegion(None if tc is None else float(tc), float(obj["scale"]))
-    raise ValueError(f"unknown region kind {kind!r}")
+def region_from_json(obj: dict, ctx: PoleContext | None = None) -> Region:
+    """The region a JSON node describes, checked against ctx if given; a
+    ValueError lists every error at its JSON pointer."""
+    errors: list[str] = []
+    region = parse_value(Region, obj, "", errors, ctx)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return region

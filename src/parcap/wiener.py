@@ -45,6 +45,8 @@ __all__ = [
 
 # shell indices of a dyadic series that is given none
 DYADIC_RANGE = range(2, 15)
+# the scale range and fewest terms of a lambda series that is given no indices
+LEVEL_C_MIN, LEVEL_C_MAX, LEVEL_MIN_COUNT = 4.0, 16384.0, 8
 
 
 class Verdict(Enum):
@@ -63,6 +65,7 @@ class ClassifyPolicy:
     1/n tails) lean removable with low confidence.
     """
 
+    CONFIG_KEYS = ("eps_slope", "rho_max", "window", "min_terms")
     eps_slope: float = 0.05
     rho_max: float = 0.8
     window: int = 6
@@ -232,21 +235,14 @@ def series_terms(
     )
 
 
-def auto_level_range(
-    ctx: PoleContext,
-    lam: float,
-    c_min: float = 4.0,
-    c_max: float = 16384.0,
-    min_count: int = 8,
-):
-    """Index range whose level shells span roughly the scales [c_min, c_max].
-
-    Extends past c_max when needed so the classifier always has enough terms.
-    """
+def auto_level_range(ctx: PoleContext, lam: float):
+    """Index range whose level shells span roughly the scales [LEVEL_C_MIN,
+    LEVEL_C_MAX], extended past the top so the classifier always has
+    LEVEL_MIN_COUNT terms."""
     N = ctx.dim
-    n_lo = max(1, math.ceil(N * math.log(4.0 * math.pi * c_min) / (2.0 * math.log(lam))))
-    n_hi = math.floor(N * math.log(4.0 * math.pi * c_max) / (2.0 * math.log(lam)))
-    n_hi = max(n_hi, n_lo + min_count - 1)
+    n_lo = max(1, math.ceil(N * math.log(4.0 * math.pi * LEVEL_C_MIN) / (2.0 * math.log(lam))))
+    n_hi = math.floor(N * math.log(4.0 * math.pi * LEVEL_C_MAX) / (2.0 * math.log(lam)))
+    n_hi = max(n_hi, n_lo + LEVEL_MIN_COUNT - 1)
     return range(n_lo, n_hi + 1)
 
 

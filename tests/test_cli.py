@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parcap.cli as cli
 import parcap.wiener as wiener
@@ -17,6 +20,7 @@ from parcap.hbrownian import GridPolicy
 from parcap.kernel import lower_context
 from parcap.measures import DiscreteMeasure
 from parcap.cli import main
+from test_geometry import REGION_TREES
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -384,6 +388,10 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
     assert "Traceback" not in err and "/run" not in err
 
 
+_BALL = {"kind": "space_ball", "center": [0.0], "radius": 1.0}
+_POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
+
+
 @pytest.mark.parametrize(
     "key, value, pointer",
     [
@@ -448,6 +456,26 @@ def test_malformed_levels_are_config_errors(tmp_path, capsys, task_cfg, levels):
         ("capacity.shell", {"kind": "ball", "scale": 1.0, "n": 3}, "/parameters/shell/n"),
         ("capacity.shell", {"kind": "lambda", "lam": 2.0, "n": 1, "m": 2}, "/parameters/shell/m"),
         ("simulate.start", {"x": [0.0], "t": -1.0, "dt": 0.1}, "/parameters/start/dt"),
+        # region nodes: keys are exactly a node's fields, numbers are JSON numbers
+        ("simulate.region", {**_BALL, "radiuss": 2.0}, "/parameters/region/radiuss"),
+        ("simulate.region", {**_BALL, "radius": "1.0"}, "/parameters/region/radius"),
+        ("simulate.region", {**_BALL, "radius": True}, "/parameters/region/radius"),
+        ("simulate.region", {"kind": "tube", "profile": {**_POWER, "coef": "1.5"}},
+         "/parameters/region/profile/coef"),
+        ("simulate.region", {"kind": "tube", "profile": {**_POWER, "scale": 1.0}},
+         "/parameters/region/profile/scale"),
+        ("simulate.region", {"kind": "half_space", "normal": [1.0], "offset": float("nan")},
+         "/parameters/region/offset"),
+        ("simulate.region", {"kind": "union", "children": [_BALL, {**_BALL, "radius": "2"}]},
+         "/parameters/region/children/1/radius"),
+        ("simulate.region", {"kind": "union", "children": _BALL}, "/parameters/region/children"),
+        ("simulate.region", {"kind": "cone"}, "/parameters/region/kind"),
+        # region values checked against the context (1-D, lower) before any compute
+        ("simulate.region", {**_BALL, "center": [0.0, 1.0]}, "/parameters/region/center"),
+        ("simulate.region", {"kind": "half_space", "normal": [1.0, 0.0], "offset": 0.0},
+         "/parameters/region/normal"),
+        ("simulate.region", {"kind": "heat_ball", "time_center": 1.0, "scale": 1.0},
+         "/parameters/region/time_center"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -459,6 +487,57 @@ def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, v
     err = capsys.readouterr().err
     assert pointer in err
     assert "Traceback" not in err and "/run" not in err
+
+
+def _json_slots(obj, path=""):
+    """(JSON pointer, value) of obj and of everything nested in it."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield from _json_slots(val, f"{path}/{key}")
+
+
+def _at(obj, path):
+    for key in path.split("/")[1:]:
+        obj = obj[int(key) if isinstance(obj, list) else key]
+    return obj
+
+
+@settings(max_examples=40, deadline=None)
+@given(REGION_TREES, st.data())
+def test_mutated_region_configs_fail_at_their_pointer(tmp_path_factory, reg, data):
+    """Drop a node's required key, add an unknown one, or put a string, a bool
+    or NaN in place of a number: exit 1 at that key, before any compute."""
+    region = reg.to_json()
+    slots = list(_json_slots(region))
+    numbers = [p for p, v in slots if isinstance(v, float)]
+    nodes = [p for p, v in slots if isinstance(v, dict)]
+    how = data.draw(st.sampled_from(["drop", "add"] + ["retype"] * bool(numbers)))
+    if how == "retype":
+        path = data.draw(st.sampled_from(numbers))
+        parent, _, key = path.rpartition("/")
+        node = _at(region, parent)
+        node[int(key) if isinstance(node, list) else key] = data.draw(
+            st.sampled_from(["1.0", True, False, float("nan")]))
+    else:
+        parent = data.draw(st.sampled_from(nodes))
+        node = _at(region, parent)
+        if how == "add":
+            key = "bogus"
+            node[key] = 1.0
+        else:
+            # every key of a node is required but a tube's axis
+            key = data.draw(st.sampled_from([k for k in node if k != "axis"]))
+            del node[key]
+        path = f"{parent}/{key}"
+    cfg = json.loads(json.dumps(REPORT_KEYS_CASES["simulate"][0]))
+    cfg["parameters"]["region"] = region
+    tmp = tmp_path_factory.mktemp("mutated")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["run", write_config(tmp, cfg), "--out", tmp / "o"]) == 1
+    assert f"error /parameters/region{path}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "/run" not in err.getvalue()
 
 
 def test_unknown_parameters_are_refused_before_any_compute(tmp_path, capsys, monkeypatch):

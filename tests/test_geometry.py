@@ -75,6 +75,16 @@ def test_tube_profile_csv(tmp_path):
     assert prof(np.array([-1.5]))[0] == pytest.approx(0.75)
 
 
+def test_tube_profile_csv_refuses_a_bad_row_after_the_header(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("t,f\n-2.0,1.0\n-1.0,abc\n0.0,0.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        tube_profile_from_csv(path)
+    path.write_text("-2.0,1.0\nt,f\n0.0,0.0\n")  # a header only leads
+    with pytest.raises(ValueError, match="line 2"):
+        tube_profile_from_csv(path)
+
+
 def test_boolean_nodes_and_json_round_trip():
     ctx = pc.lower_context(1)
     reg = Union(
@@ -103,11 +113,101 @@ def test_appell_image_region_pullback():
     assert np.array_equal(got, want)
 
 
+BALL = {"kind": "space_ball", "center": [0.0], "radius": 1.0}
+POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
+
+# a bad node and the pointer of its error, read in the 1-D lower context
+REGION_ERRORS = [
+    ({"kind": "nonsense"}, "/kind"),
+    ({"no_kind": 1}, "/kind"),
+    ({**BALL, "radiuss": 2.0}, "/radiuss"),
+    ({**BALL, "radius": "1.0"}, "/radius"),
+    ({**BALL, "radius": True}, "/radius"),
+    ({"kind": "space_ball", "center": [0.0]}, "/radius"),
+    ({"kind": "tube", "profile": {**POWER, "coef": "1.5"}}, "/profile/coef"),
+    ({"kind": "tube", "profile": {**POWER, "scale": 2.0}}, "/profile/scale"),
+    ({"kind": "tube", "profile": {"kind": "cone"}}, "/profile/kind"),
+    ({"kind": "half_space", "normal": [1.0], "offset": float("nan")}, "/offset"),
+    ({"kind": "union", "children": [BALL, {**BALL, "center": [0.0, "x"]}]},
+     "/children/1/center/1"),
+    ({"kind": "union", "children": BALL}, "/children"),
+    ({"kind": "complement", "child": [BALL]}, "/child"),
+    ({"kind": "tube", "profile": {"kind": "table", "points": [[0.0, 1.0, 2.0], [1.0, 0.0]]}},
+     "/profile/points/0"),
+    # values checked against the context
+    ({**BALL, "center": [0.0, 1.0]}, "/center"),
+    ({"kind": "half_space", "normal": [1.0, 0.0], "offset": 0.0}, "/normal"),
+    ({"kind": "heat_ball", "time_center": 1.0, "scale": 1.0}, "/time_center"),
+    ({"kind": "appell_image", "child": {"kind": "heat_ball", "time_center": -1.0, "scale": 1.0}},
+     "/child/time_center"),
+]
+
+
 def test_region_json_errors():
     with pytest.raises(ValueError):
         region_from_json({"kind": "nonsense"})
     with pytest.raises(ValueError):
         region_from_json({"no_kind": 1})
+    # each error names its node's key
+    for obj, pointer in REGION_ERRORS:
+        with pytest.raises(ValueError) as err:
+            region_from_json(obj, pc.lower_context(1))
+        assert str(err.value).startswith(f"{pointer}: "), obj
+
+
+def test_region_json_errors_without_a_context_skip_its_checks():
+    region_from_json({**BALL, "center": [0.0, 1.0]})
+    with pytest.raises(ValueError, match="^/radius: "):
+        region_from_json({**BALL, "radius": -1.0})
+
+
+def _region_trees(upper, depth=2):
+    """Region nodes valid in a 1-D context of that half-space, down to depth."""
+    sign = 1.0 if upper else -1.0
+    num = st.floats(-5.0, 5.0, allow_nan=False)
+    pos = st.floats(0.05, 3.0)
+    times = st.floats(0.05, 6.0).map(lambda t: sign * t)
+    profiles = st.one_of(
+        st.builds(ConstProfile, pos),
+        st.builds(PowerProfile, pos, st.floats(0.0, 2.0)),
+        st.builds(TableProfile, st.lists(st.tuples(num, pos), min_size=2, max_size=4,
+                                         unique_by=lambda p: p[0])),
+    )
+    leaves = st.one_of(
+        st.just(EmptyRegion()),
+        st.just(FullRegion()),
+        st.builds(TimeSlab, times, times),
+        st.builds(SpaceBall, st.lists(num, min_size=1, max_size=1), pos),
+        st.builds(HalfSpaceCut, st.lists(num, min_size=1, max_size=1), num),
+        st.builds(Tube, profiles, st.sampled_from(["pole", "drift"])),
+        st.builds(pc.HeatBallRegion, st.none() | times, pos),
+    )
+    if depth == 0:
+        return leaves
+    sub = _region_trees(upper, depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Union, st.lists(sub, max_size=3)),
+        st.builds(Intersection, st.lists(sub, max_size=3)),
+        st.builds(Complement, sub),
+        st.builds(AppellImage, _region_trees(not upper, depth - 1)),
+    )
+
+
+REGION_TREES = _region_trees(upper=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(REGION_TREES, st.integers(0, 2**32 - 1))
+def test_region_json_round_trip_over_every_kind(reg, seed):
+    ctx = pc.lower_context(1, [0.3])
+    text = json.dumps(reg.to_json())
+    clone = region_from_json(json.loads(text), ctx)
+    assert json.dumps(clone.to_json()) == text
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(200, 1)) * 3
+    ts = -rng.uniform(0.01, 6.0, 200)
+    assert np.array_equal(reg.contains(xs, ts, ctx), clone.contains(xs, ts, ctx))
 
 
 # ---------------------------------------------------------------------------
