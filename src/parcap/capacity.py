@@ -20,6 +20,23 @@ simplex re-solves from the last basis instead of from scratch.  The result
 carries the feasibility maximum, the complementary slackness residual and
 the duality gap, all computed over every collocation row, not only the
 working set.
+
+A series solves shells that are dilations of each other: in the lower
+half-space each dyadic shell is the parabolic dilation (x, t) -> (sqrt(2) x,
+2 t) of the last about its centre, and the program scales with it, masses
+and row duals by c^(N/2) at scale c.  A ``DilationMemo`` keeps, per
+resolution, the last solved shell of one series call in its shell's scaled
+frame.  When a new shell's scaled node cloud matches the kept one within
+1e-12, with as many collocation rows, the kept masses and duals are scaled up
+to it and kept only if they pass row generation's own test on the new
+shell's collocation: potential <= 1 + ROW_EXCESS on every row, and reduced
+cost A^T y - 1 >= -ROW_EXCESS on every column, so the pair is primal and
+dual feasible with the gap of the solve it came from.  Otherwise the shell is
+solved as above.  Either way the certificates are computed on the shell's
+own collocation and probe cloud.  A reused optimum is optimal to the same
+tolerances as a fresh one but need not be the same vertex, so a shell's
+value can differ at the 1e-12 level depending on whether the previous shell
+was solved in the same call.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ __all__ = [
     "build_collocation",
     "capacity",
     "capacity_of_region",
+    "DilationMemo",
 ]
 
 # probe cloud seed of a solve that is given none
@@ -335,8 +353,13 @@ def capacity(
     *,
     collocation: Optional[Collocation] = None,
     probe_seed: int = PROBE_SEED,
+    memo: Optional["_ShellFrame"] = None,
 ) -> CapacityResult:
     """Solve the packing program for one node cloud, in its set's context.
+
+    With memo, the frame of a ``DilationMemo`` at this cloud's shell, a
+    proposal the memo makes is kept if it passes row generation's test on
+    this collocation, and the solution is given back to the memo.
 
     Raises SolverFailure when the LP does not reach optimality; the exception
     carries the value of the last iterate scaled down to potential <= 1 on
@@ -357,41 +380,21 @@ def capacity(
 
     ctx = cloud.ctx
     coll = collocation if collocation is not None else build_collocation(cloud)
-    A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, ctx)
+    solved = None if memo is None else _check_proposal(cloud, coll, memo.propose(cloud, coll))
+    if solved is None:
+        solved = _solve(cloud, coll)
+    masses, y, pots, red, lp_facts = solved
+    if memo is not None:
+        memo.keep(cloud, coll, masses, y)
 
-    peak = A.argmax(axis=0)
-    col_max = A[peak, np.arange(A.shape[1])]
-    alive = col_max > 0.0
-    if not np.any(alive):
-        raise SolverFailure("every kernel column is numerically zero", 0.0)
-    # scale columns in place; the original matrix is recovered through the
-    # column scales, keeping peak memory at one dense copy
-    if not np.all(alive):
-        A = np.ascontiguousarray(A[:, alive])
-    cm = col_max[alive]
-    A /= cm
-
-    # normalize the objective too so HiGHS sees O(1) data; the argmin is
-    # invariant under positive objective scaling and masses unwind exactly
-    inv = 1.0 / cm
-    c_scale = float(np.max(inv))
-    # every live column's peak row caps its variable at 1, so each restricted
-    # program is bounded; scaled_m holds masses in units of the column scales
-    scaled_m, duals, pots, lp_facts = _solve_by_rows(A, -(inv / c_scale), peak[alive], inv)
-    masses = np.zeros(len(cloud))
-    masses[alive] = scaled_m * inv
     value = float(np.sum(masses))
     mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
-
-    y = np.maximum(duals * c_scale, 0.0)
-    dual_value = float(np.sum(y))
-    red = cm * (A.T @ y) - 1.0
     scale = max(1.0, value)
     comp_slack = max(
         float(np.max(np.abs(y * (1.0 - pots)))) if y.size else 0.0,
-        float(np.max(np.abs(masses[alive] * red))) if red.size else 0.0,
+        float(np.max(np.abs(masses * red))),
     ) / scale
-    gap = abs(dual_value - value) / scale
+    gap = abs(float(np.sum(y)) - value) / scale
 
     px, pt = _probe_points(cloud, coll, probe_seed)
     probe_max = float(np.max(potential_batch(mu, px, pt, ctx))) if pt.size else 0.0
@@ -415,11 +418,118 @@ def capacity(
     )
 
 
+def _solve(cloud: NodeCloud, coll: Collocation):
+    """Masses, row duals, the potential on every row and each column's reduced
+    cost A^T y - 1 (zero on dead columns) by row generation over the dense
+    kernel matrix, with the solver facts."""
+    A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
+
+    peak = A.argmax(axis=0)
+    col_max = A[peak, np.arange(A.shape[1])]
+    alive = col_max > 0.0
+    if not np.any(alive):
+        raise SolverFailure("every kernel column is numerically zero", 0.0)
+    # scale columns in place; the original matrix is recovered through the
+    # column scales, keeping peak memory at one dense copy
+    if not np.all(alive):
+        A = np.ascontiguousarray(A[:, alive])
+    cm = col_max[alive]
+    A /= cm
+
+    # normalize the objective too so HiGHS sees O(1) data; the argmin is
+    # invariant under positive objective scaling and masses unwind exactly
+    inv = 1.0 / cm
+    c_scale = float(np.max(inv))
+    # every live column's peak row caps its variable at 1, so each restricted
+    # program is bounded; scaled_m holds masses in units of the column scales
+    scaled_m, duals, pots, lp_facts = _solve_by_rows(A, -(inv / c_scale), peak[alive], inv)
+    masses = np.zeros(len(cloud))
+    masses[alive] = scaled_m * inv
+    y = np.maximum(duals * c_scale, 0.0)
+    red = np.zeros(len(cloud))
+    red[alive] = cm * (A.T @ y) - 1.0
+    return masses, y, pots, red, lp_facts
+
+
+def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):
+    """The proposal (masses, row duals) with the potential on every row and
+    the reduced costs, if it is primal feasible and dual feasible within
+    ROW_EXCESS on this collocation; else None.  Only the support columns and
+    the rows with a positive dual enter the kernel matrix.  A dead column's
+    reduced cost is -1, so a cloud with one is always solved."""
+    if proposal is None:
+        return None
+    masses, y = proposal
+    # the dual test reads a few rows of the matrix, the primal one every row,
+    # so a proposal that fails the dual test is refused at the lower cost
+    rows = y > 0.0
+    red = y[rows] @ kernel_ratio_matrix(coll.xs[rows], coll.ts[rows], cloud.xs, cloud.ts,
+                                        cloud.ctx) - 1.0
+    if not np.min(red) >= -ROW_EXCESS:
+        return None
+    on = masses > 0.0
+    pots = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs[on], cloud.ts[on], cloud.ctx) @ masses[on]
+    if not np.max(pots) <= 1.0 + ROW_EXCESS:
+        return None
+    return masses, y, pots, red, {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0}
+
+
+# scaled node clouds closer than this are taken for the same shell
+DILATION_MATCH = 1e-12
+
+
+class DilationMemo:
+    """The last solved shell of one series call at each resolution, kept in
+    its shell's scaled frame: node offsets (x - axis(t)) / sqrt(c) and
+    (t - t_centre) / c at shell scale c, masses and row duals over c^(N/2)."""
+
+    def __init__(self):
+        self._kept = {}
+
+    def at(self, shell) -> Optional["_ShellFrame"]:
+        """This memo in the frame of shell, or None in the upper half-space,
+        whose node placement is not dilation-covariant."""
+        if shell.ctx.is_upper:
+            return None
+        ball = getattr(shell, "outer", shell)
+        return _ShellFrame(self._kept, ball.time_center, ball.scale)
+
+
+@dataclass(frozen=True)
+class _ShellFrame:
+    kept: dict
+    t_centre: float
+    scale: float
+
+    def _scaled(self, cloud: NodeCloud):
+        c = self.scale
+        return ((cloud.xs - cloud.ctx.axis(cloud.ts)) / np.sqrt(c),
+                (cloud.ts - self.t_centre) / c, c ** (0.5 * cloud.dim))
+
+    def propose(self, cloud: NodeCloud, coll: Collocation):
+        """The kept (masses, row duals) at cloud's resolution scaled up to this
+        shell, if the kept scaled cloud is this one and its collocation has as
+        many rows; else None."""
+        kept = self.kept.get(cloud.resolution)
+        if kept is None or kept.ts.shape != cloud.ts.shape or kept.duals.size != len(coll):
+            return None
+        xs, ts, unit = self._scaled(cloud)
+        if max(np.max(np.abs(xs - kept.xs)), np.max(np.abs(ts - kept.ts))) > DILATION_MATCH:
+            return None
+        return kept.masses * unit, kept.duals * unit
+
+    def keep(self, cloud: NodeCloud, coll: Collocation, masses, duals) -> None:
+        xs, ts, unit = self._scaled(cloud)
+        self.kept[cloud.resolution] = SimpleNamespace(
+            xs=xs, ts=ts, masses=masses / unit, duals=duals / unit)
+
+
 def capacity_of_region(
     compact: CompactSet,
     *,
     refinement: Refinement = Refinement(),
     probe_seed: int = PROBE_SEED,
+    memo: Optional[DilationMemo] = None,
 ) -> CapacityResult:
     """Capacity through a refining node-cloud sequence, in the set's context.
 
@@ -427,8 +537,10 @@ def capacity_of_region(
     AND the result is certified at tol at that level; if the level budget
     runs out first the result carries converged False with the bracketing
     values in its history.  An empty intersection certifies as zero once two
-    consecutive levels emit no nodes.
+    consecutive levels emit no nodes.  With memo, each level may reuse the
+    solution of a shell this set's shell dilates.
     """
+    frame = memo.at(compact.shell) if memo is not None else None
     history: list[tuple[int, float]] = []
     last: Optional[CapacityResult] = None
     empty_streak = 0
@@ -445,7 +557,7 @@ def capacity_of_region(
             continue
         empty_streak = 0
         try:
-            result = capacity(cloud, probe_seed=probe_seed)
+            result = capacity(cloud, probe_seed=probe_seed, memo=frame)
         except SolverFailure as exc:
             history.append((lv, exc.best_value))
             return CapacityResult(

@@ -163,9 +163,21 @@ class FullRegion(Region):
 
 @dataclass(frozen=True)
 class TimeSlab(Region):
+    """t_min <= t <= t_max, a slab that must reach into its half-space."""
+
     kind = "time_slab"
     t_min: float
     t_max: float
+
+    def __post_init__(self):
+        if self.t_min > self.t_max:
+            raise ValueError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
+
+    def check_context(self, ctx):
+        if ctx.is_upper and self.t_max <= 0.0:
+            raise ValueError(f"t_max {self.t_max} leaves the slab outside the half-space t > 0")
+        if not ctx.is_upper and self.t_min >= 0.0:
+            raise ValueError(f"t_min {self.t_min} leaves the slab outside the half-space t < 0")
 
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)

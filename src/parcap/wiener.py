@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import PROBE_SEED, Refinement, capacity_of_region
+from .capacity import PROBE_SEED, DilationMemo, Refinement, capacity_of_region
 from .geometry import CompactSet, dyadic_shell, level_shell
 from .kernel import PoleContext
 from .regions import Region
@@ -84,6 +84,11 @@ class ShellTerm:
     time_window: tuple[float, float]
     n_nodes: int
     level: int  # refinement level the capacity settled at
+    # the capacity's certificates, computed on the shell's own clouds
+    max_potential: float
+    probe_max_potential: float
+    comp_slack_residual: float
+    duality_gap: float
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,15 @@ def _run_series(
     probe_seed: int,
 ) -> SeriesReport:
     """Solve each shell's capacity in the shell's own context and classify
-    the terms."""
+    the terms.  One DilationMemo serves the call, so a shell that dilates an
+    earlier one may reuse its solution once it passes on the new shell."""
+    memo = DilationMemo()
     out_terms: list[ShellTerm] = []
     sums: list[float] = []
     total = 0.0
     for n, shell, weight in zip(ns, shells, weights):
         result = capacity_of_region(
-            CompactSet(shell, region), refinement=refinement, probe_seed=probe_seed
+            CompactSet(shell, region), refinement=refinement, probe_seed=probe_seed, memo=memo
         )
         term = weight * result.value
         total += term
@@ -195,6 +202,10 @@ def _run_series(
                 time_window=shell.time_window,
                 n_nodes=int(result.diagnostics.get("n_nodes", 0)),
                 level=result.resolution.level,
+                max_potential=result.max_potential,
+                probe_max_potential=result.probe_max_potential,
+                comp_slack_residual=result.comp_slack_residual,
+                duality_gap=result.duality_gap,
             )
         )
     verdict, conf, diag = classify(

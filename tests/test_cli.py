@@ -14,7 +14,7 @@ import parcap.cli as cli
 import parcap.wiener as wiener
 from parcap.appell import IdentityResidual
 from parcap.averaging import QuadratureSpec
-from parcap.capacity import CapacityResult, Refinement
+from parcap.capacity import CapacityResult, DilationMemo, Refinement
 from parcap.geometry import Resolution
 from parcap.hbrownian import GridPolicy
 from parcap.kernel import lower_context
@@ -275,7 +275,9 @@ REPORT_KEYS_CASES = {
          "policy.zero_floor",
          "refinement_levels", "rel_stall", "seed", "task", "terms", "terms[].capacity",
          "terms[].converged", "terms[].level", "terms[].n", "terms[].n_nodes", "terms[].term",
-         "terms[].time_window", "terms[].weight", "tolerance", "tool_version", "verdict"},
+         "terms[].time_window", "terms[].weight", "terms[].max_potential",
+         "terms[].probe_max_potential", "terms[].comp_slack_residual", "terms[].duality_gap",
+         "tolerance", "tool_version", "verdict"},
         ("series_table.csv", "n,capacity,term,partial_sum"),
     ),
     "simulate": (
@@ -476,6 +478,13 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
          "/parameters/region/normal"),
         ("simulate.region", {"kind": "heat_ball", "time_center": 1.0, "scale": 1.0},
          "/parameters/region/time_center"),
+        ("simulate.region", {"kind": "time_slab", "t_min": 2.0, "t_max": 3.0},
+         "/parameters/region/t_min"),
+        ("simulate.region", {"kind": "time_slab", "t_min": -2.0, "t_max": -3.0},
+         "/parameters/region/t_min"),
+        ("simulate.region", {"kind": "intersection", "children": [
+            _BALL, {"kind": "time_slab", "t_min": 0.0, "t_max": 1.0}]},
+         "/parameters/region/children/1/t_min"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -609,6 +618,9 @@ def test_settings_reach_the_solver(tmp_path, monkeypatch):
     })
     out = tmp_path / "s"
     assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+    # one dilation memo serves every shell of the call
+    memos = [kwargs.pop("memo") for kwargs in calls]
+    assert isinstance(memos[0], DilationMemo) and all(m is memos[0] for m in memos)
     assert calls[0] == {
         "refinement": Refinement(levels=(1, 3), tol=0.01, rel_stall=0.02,
                                  resolution=Resolution(base_time=5, base_polar=2)),
@@ -622,7 +634,7 @@ def test_settings_reach_the_solver(tmp_path, monkeypatch):
 def test_settings_left_out_take_the_library_defaults(tmp_path, monkeypatch):
     refinements = []
 
-    def fake_capacity_of_region(compact, refinement, probe_seed):
+    def fake_capacity_of_region(compact, refinement, probe_seed, memo=None):
         refinements.append(refinement)
         return _fake_result()
 

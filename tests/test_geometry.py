@@ -140,6 +140,10 @@ REGION_ERRORS = [
     ({"kind": "heat_ball", "time_center": 1.0, "scale": 1.0}, "/time_center"),
     ({"kind": "appell_image", "child": {"kind": "heat_ball", "time_center": -1.0, "scale": 1.0}},
      "/child/time_center"),
+    ({"kind": "time_slab", "t_min": -1.0, "t_max": -2.0}, "/t_min"),
+    ({"kind": "time_slab", "t_min": 0.0, "t_max": 3.0}, "/t_min"),
+    ({"kind": "appell_image", "child": {"kind": "time_slab", "t_min": -3.0, "t_max": 0.0}},
+     "/child/t_max"),
 ]
 
 
@@ -176,7 +180,7 @@ def _region_trees(upper, depth=2):
     leaves = st.one_of(
         st.just(EmptyRegion()),
         st.just(FullRegion()),
-        st.builds(TimeSlab, times, times),
+        st.builds(lambda a, b: TimeSlab(min(a, b), max(a, b)), times, times),
         st.builds(SpaceBall, st.lists(num, min_size=1, max_size=1), pos),
         st.builds(HalfSpaceCut, st.lists(num, min_size=1, max_size=1), num),
         st.builds(Tube, profiles, st.sampled_from(["pole", "drift"])),
@@ -355,6 +359,19 @@ def test_harnack_region_geometry():
     # JSON round trip carries the heat-ball leaf
     clone = region_from_json(q.to_json())
     assert np.array_equal(clone.contains(xs, ts, up), in_q)
+
+
+def test_time_slabs_must_reach_into_their_half_space():
+    lo, up = pc.lower_context(1), pc.upper_context(1)
+    with pytest.raises(ValueError, match="^t_min 2.0 exceeds t_max 1.0"):
+        TimeSlab(2.0, 1.0)
+    for ctx, inside, outside in ((lo, TimeSlab(-1.0, 0.0), TimeSlab(0.0, 1.0)),
+                                 (up, TimeSlab(0.0, 1.0), TimeSlab(-1.0, 0.0))):
+        inside.check_context(ctx)
+        with pytest.raises(ValueError, match="outside the half-space"):
+            outside.check_context(ctx)
+        # the truncating slab of a Harnack region lies inside its half-space
+        region_from_json(pc.harnack_region(0.5 if ctx.is_upper else -0.5, 2.0, ctx).to_json(), ctx)
 
 
 # ---------------------------------------------------------------------------

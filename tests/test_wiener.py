@@ -1,7 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
 import parcap as pc
+from parcap.capacity import (
+    DilationMemo,
+    Refinement,
+    _probe_points,
+    build_collocation,
+    capacity_of_region,
+    potential_batch,
+)
+from parcap.geometry import CompactSet, Resolution, discretize, dyadic_shell
 from parcap.wiener import ClassifyPolicy, Verdict, auto_level_range, classify
 from parcap.regions import (
     EmptyRegion,
@@ -120,3 +131,128 @@ def test_duality_of_verdicts():
     vl = pc.series_terms(box, lo, **FAST).verdict
     vu = pc.series_terms(pc.AppellImage(box), up, **FAST).verdict
     assert vl == vu == Verdict.NON_REMOVABLE
+
+
+# ---------------------------------------------------------------------------
+# reuse of dilated shells within one series call
+# ---------------------------------------------------------------------------
+
+CAP = sys.modules[capacity_of_region.__module__]
+TUBE = Tube(PowerProfile(1.5, 0.5))
+SMALL = Refinement(levels=(0, 1), resolution=Resolution(base_time=10, base_radial=2))
+
+
+def _record_lp(monkeypatch):
+    rounds = []
+    solve = CAP.linprog
+
+    def recording_linprog(model, *, A_ub):
+        rounds.append(A_ub.shape)
+        return solve(model, A_ub=A_ub)
+
+    monkeypatch.setattr(CAP, "linprog", recording_linprog)
+    return rounds
+
+
+def _record_checks(monkeypatch):
+    """(a proposal was made, it was kept) for every capacity() with a memo."""
+    checks = []
+    check = CAP._check_proposal
+
+    def recording_check(cloud, coll, proposal):
+        out = check(cloud, coll, proposal)
+        checks.append((proposal is not None, out is not None))
+        return out
+
+    monkeypatch.setattr(CAP, "_check_proposal", recording_check)
+    return checks
+
+
+def _alone(region, ctx, ns, refinement):
+    return [capacity_of_region(CompactSet(dyadic_shell(ctx, n), region), refinement=refinement)
+            for n in ns]
+
+
+def test_series_reuses_dilated_shells_with_the_same_result(monkeypatch):
+    lp = _record_lp(monkeypatch)
+    checks = _record_checks(monkeypatch)
+    lo = pc.lower_context(1)
+    rep = pc.series_terms(TUBE, lo, range(5, 11), refinement=SMALL)
+    series_calls = len(lp)
+    alone = _alone(TUBE, lo, range(5, 11), SMALL)
+    assert series_calls < len(lp) - series_calls
+    assert any(kept for _, kept in checks)
+    for term, res in zip(rep.terms, alone):
+        assert term.capacity == pytest.approx(res.value, rel=1e-9)
+        assert (term.level, term.converged) == (res.resolution.level, res.converged)
+    verdict, confidence, _ = classify([t.weight * r.value for t, r in zip(rep.terms, alone)],
+                                      rep.policy, [r.converged for r in alone])
+    assert (rep.verdict, rep.confidence) == (verdict, confidence)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_bare_shells_refuse_every_proposal(monkeypatch, gamma):
+    # their absolute-time halo rows bind, so no shell's solution carries over
+    lp = _record_lp(monkeypatch)
+    checks = _record_checks(monkeypatch)
+    ctx = pc.lower_context(1, [gamma])
+    refinement = Refinement(levels=(0, 1))
+    rep = pc.series_terms(None, ctx, range(2, 9), refinement=refinement)
+    series_calls = len(lp)
+    alone = _alone(None, ctx, range(2, 9), refinement)
+    assert any(made for made, _ in checks) and not any(kept for _, kept in checks)
+    assert series_calls == len(lp) - series_calls == 37
+    assert [t.capacity for t in rep.terms] == [r.value for r in alone]
+
+
+def test_a_raised_proposal_is_refused_and_solved(monkeypatch):
+    propose = CAP._ShellFrame.propose
+
+    def raised(self, cloud, coll):
+        out = propose(self, cloud, coll)
+        return None if out is None else (1.01 * out[0], out[1])
+
+    monkeypatch.setattr(CAP._ShellFrame, "propose", raised)
+    lp = _record_lp(monkeypatch)
+    checks = _record_checks(monkeypatch)
+    lo = pc.lower_context(1)
+    rep = pc.series_terms(TUBE, lo, range(5, 11), refinement=SMALL)
+    series_calls = len(lp)
+    alone = _alone(TUBE, lo, range(5, 11), SMALL)
+    assert any(made for made, _ in checks) and not any(kept for _, kept in checks)
+    assert series_calls == len(lp) - series_calls
+    assert [t.capacity for t in rep.terms] == [r.value for r in alone]
+
+
+def test_an_upper_series_gets_no_proposal(monkeypatch):
+    checks = _record_checks(monkeypatch)
+    up = pc.upper_context(1)
+    assert DilationMemo().at(dyadic_shell(up, 3)) is None
+    rep = pc.series_terms(None, up, range(2, 6), refinement=SMALL)
+    assert checks == [] and all(t.capacity > 0.0 for t in rep.terms)
+
+
+def test_a_reused_shell_is_certified_on_its_own_clouds():
+    lo = pc.lower_context(1)
+    one_level = Refinement(levels=(1,), resolution=SMALL.resolution)
+    memo = DilationMemo()
+    # a probe seed of its own: the dilated probe cloud of the same seed would
+    # give the first shell's probe maximum exactly
+    first, second = (
+        capacity_of_region(CompactSet(dyadic_shell(lo, n), TUBE), refinement=one_level,
+                           probe_seed=seed, memo=memo)
+        for n, seed in ((6, 5), (7, 6))
+    )
+    assert first.diagnostics["lp_rounds"] > 0 and second.diagnostics["lp_rounds"] == 0
+    # the reused measure is the first one, dilated
+    assert np.allclose(second.capacitary.masses, np.sqrt(2.0) * first.capacitary.masses,
+                       rtol=1e-12, atol=0.0)
+    cloud = discretize(CompactSet(dyadic_shell(lo, 7), TUBE), second.resolution)
+    coll = build_collocation(cloud)
+    mu = second.capacitary
+    assert second.max_potential == pytest.approx(
+        float(np.max(potential_batch(mu, coll.xs, coll.ts, lo))), rel=1e-12)
+    px, pt = _probe_points(cloud, coll, 6)
+    assert second.probe_max_potential == float(np.max(potential_batch(mu, px, pt, lo)))
+    assert second.probe_max_potential != first.probe_max_potential
+    assert second.duality_gap <= 1e-9 and second.comp_slack_residual <= 1e-9
