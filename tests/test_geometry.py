@@ -363,8 +363,6 @@ def test_harnack_region_geometry():
 
 def test_time_slabs_must_reach_into_their_half_space():
     lo, up = pc.lower_context(1), pc.upper_context(1)
-    with pytest.raises(ValueError, match="^t_min 2.0 exceeds t_max 1.0"):
-        TimeSlab(2.0, 1.0)
     for ctx, inside, outside in ((lo, TimeSlab(-1.0, 0.0), TimeSlab(0.0, 1.0)),
                                  (up, TimeSlab(0.0, 1.0), TimeSlab(-1.0, 0.0))):
         inside.check_context(ctx)
