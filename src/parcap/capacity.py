@@ -75,7 +75,6 @@ class Refinement:
     """The levels a capacity solve runs on ``resolution``, in order, and the
     certificate ``tol`` and relative ``rel_stall`` that settle its value."""
 
-    CONFIG_KEYS = ("levels", "tol", "rel_stall", "resolution")
     levels: tuple[int, ...] = (0, 1, 2)
     tol: float = 1e-3
     rel_stall: float = 0.02

@@ -7,6 +7,9 @@ inconclusive or indeterminate, 1 on errors (schema violations are listed
 with JSON-pointer paths).  Reports embed the criterion statement in use,
 shell time windows, resolutions, tolerances and the seed, and rerunning the
 same config and seed reproduces every output byte for byte.
+
+`reporting.parse_fields` reads a config into `RunConfig`, and its parameters
+into the settings classes `_TASKS` lists for its task, before any compute.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -30,17 +35,9 @@ from .geometry import (
     level_shell,
 )
 from .hbrownian import GridPolicy, cluster_probability, simulate
-from .kernel import (
-    DomainError,
-    HalfSpace,
-    PoleContext,
-    kernel_ratio_matrix,
-    log_heat_kernel,
-    log_pole_weight,
-    point,
-)
+from .kernel import HalfSpace, PoleContext, kernel_ratio_matrix, log_heat_kernel, log_pole_weight, point
 from .regions import Region
-from .reporting import dump_csv, dump_json, parse_fields, parse_value, to_jsonable, typed
+from .reporting import config_keys, dump_csv, dump_json, parse_fields, to_jsonable, typed
 from .wiener import DYADIC_RANGE, ClassifyPolicy, Verdict, lambda_series_terms, series_terms
 
 CRITERION_TEXT = (
@@ -53,106 +50,231 @@ CRITERION_TEXT = (
 
 # smallest shrink factor of the operator-transfer residual under step halving
 HALVING_MIN = 3.0
-NUMBER = (int, float)
-
-
-class ConfigError(ValueError):
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
 
 
 # ---------------------------------------------------------------------------
-# validation helpers (errors carry JSON-pointer paths)
+# the config, read by reporting.parse_fields: each object is a frozen
+# dataclass whose fields declare its keys, types and defaults; range checks
+# sit in __post_init__ and half-space checks in check_context, each message
+# led by the key it names
 # ---------------------------------------------------------------------------
 
-def _err(errors, pointer, message):
-    errors.append(f"{pointer}: {message}")
+def _above(name, value, bound):
+    if not value > bound:
+        raise ValueError(f"{name} must be > {bound}, got {value}")
 
 
-def _get(obj, key, pointer, errors, required=True, types=None, choices=None, default=None,
-         items=None, least=None, above=None):
-    """obj[key] if it is of types, its items of items, among choices, and
-    itself or each of its items at least `least` and above `above`, as given;
-    else default, after an error at pointer/key."""
-    if key not in obj:
-        if required:
-            _err(errors, f"{pointer}/{key}", "missing required field")
-        return default
-    val = obj[key]
-    nums = val if items is not None else [val]
-    if types is not None and not typed(val, types):
-        _err(errors, f"{pointer}/{key}", f"expected {types}, got {type(val).__name__}")
-    elif items is not None and not all(typed(v, items) for v in val):
-        _err(errors, f"{pointer}/{key}", f"expected a list of {items}, got {val!r}")
-    elif choices is not None and val not in choices:
-        _err(errors, f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {val!r}")
-    elif least is not None and not all(v >= least for v in nums):
-        _err(errors, f"{pointer}/{key}", f"must be >= {least}, got {val}")
-    elif above is not None and not all(v > above for v in nums):
-        _err(errors, f"{pointer}/{key}", f"must be > {above}, got {val}")
-    else:
-        return val
-    return default
+@dataclass(frozen=True)
+class ContextConfig:
+    """The config's "context", held as the PoleContext `ctx`; gamma left out
+    is zero."""
+
+    dim: int
+    half_space: Literal["upper", "lower"]
+    gamma: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        gamma = (0.0,) * self.dim if self.gamma is None else self.gamma
+        object.__setattr__(self, "ctx", PoleContext(self.dim, gamma, HalfSpace(self.half_space)))
 
 
-def _known(obj, keys, pointer, errors):
-    """An error at pointer/key for each key of obj that is not among keys."""
-    for key in obj:
-        if key not in keys:
-            _err(errors, f"{pointer}/{key}", f"unknown key, expected one of {keys}")
+@dataclass(frozen=True)
+class RunConfig:
+    """A whole config: `task` names an entry of _TASKS, whose settings
+    classes read `parameters`."""
+
+    context: ContextConfig
+    task: Literal[tuple(_TASKS)]
+    parameters: dict = field(default_factory=dict)
+    seed: int = 20240601
+
+    def __post_init__(self):
+        # the seed keys numpy's unsigned 64-bit Philox streams
+        if not (typed(self.seed, int) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
-def _parse_context(cfg, errors) -> PoleContext | None:
-    ctx_obj = _get(cfg, "context", "", errors, types=dict)
-    if ctx_obj is None:
-        return None
-    dim = _get(ctx_obj, "dim", "/context", errors, types=int, least=1)
-    gamma = _get(ctx_obj, "gamma", "/context", errors, required=False, types=list, items=NUMBER)
-    hs = _get(
-        ctx_obj, "half_space", "/context", errors, types=str,
-        choices={"upper", "lower"},
-    )
-    if errors or dim is None or hs is None:
-        return None
-    g = np.zeros(dim) if gamma is None else np.asarray(gamma, dtype=float)
-    try:
-        return PoleContext(dim, g, HalfSpace(hs))
-    except ValueError as exc:  # gamma of another dimension, or not finite
-        _err(errors, "/context/gamma", str(exc))
-        return None
+class Shell:
+    """The shell of a capacity task: a kind-tagged node that builds its
+    HeatShell or HeatBall at a time centre."""
 
 
-def _parse_region(params, ctx, errors, required=False) -> Region | None:
-    """The region at /parameters/region, read in ctx; None if not required
-    and not given."""
-    obj = params.get("region")
-    if obj is None and not required:
-        return None
-    return parse_value(Region, obj, "/parameters/region", errors, ctx)
+@dataclass(frozen=True)
+class DyadicShell(Shell):
+    kind = "dyadic"
+    n: int
+
+    def build(self, ctx, t0):
+        return dyadic_shell(ctx, self.n, t0)
 
 
-def _settings(cls, params, errors):
-    """cls from its CONFIG_KEYS among the task parameters."""
-    own = {k: v for k, v in params.items() if k in cls.CONFIG_KEYS}
-    return parse_fields(cls, own, "/parameters", errors)
+@dataclass(frozen=True)
+class LambdaShell(Shell):
+    kind = "lambda"
+    lam: float
+    n: int
+
+    def __post_init__(self):
+        _above("lam", self.lam, 1)
+
+    def build(self, ctx, t0):
+        return level_shell(ctx, self.lam, self.n, t0)
 
 
-def _time_center(params, ctx, errors) -> float:
-    """The configured time centre, or the context's default one (also after
-    an error, so that no caller builds a shell on a time outside ctx)."""
-    tc = _get(params, "time_center", "/parameters", errors, required=False, types=NUMBER)
-    try:
-        if tc is not None:
-            ctx.require(tc)
-            return float(tc)
-    except DomainError as exc:
-        _err(errors, "/parameters/time_center", str(exc))
-    return default_time_center(ctx)
+@dataclass(frozen=True)
+class BallShell(Shell):
+    kind = "ball"
+    scale: float
+
+    def __post_init__(self):
+        _above("scale", self.scale, 0)
+
+    def build(self, ctx, t0):
+        return HeatBall(ctx, t0, self.scale)
 
 
-# the keys of each capacity shell kind
-_SHELL_KEYS = {"dyadic": ("kind", "n"), "lambda": ("kind", "lam", "n"), "ball": ("kind", "scale")}
+class _Centred:
+    """A task at `time_center`, or at the context's default time centre."""
+
+    def check_context(self, ctx):
+        tc = self.time_center
+        if tc is not None and not (np.isfinite(tc) and ctx.admits(tc)):
+            raise ValueError(f"time_center {tc} is not a finite time in the half-space")
+
+    def t0(self, ctx) -> float:
+        return default_time_center(ctx) if self.time_center is None else self.time_center
+
+
+@dataclass(frozen=True)
+class CapacitySettings(_Centred):
+    shell: Shell
+    region: Optional[Region] = None
+    time_center: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class SeriesSettings:
+    region: Region
+    kind: Literal["dyadic", "lambda"] = "dyadic"
+    lam: Optional[float] = None
+    n_min: Optional[int] = None
+    n_max: Optional[int] = None
+    policy: ClassifyPolicy = ClassifyPolicy()
+
+    def __post_init__(self):
+        if self.kind == "lambda" and self.lam is None:
+            raise ValueError("lam is required by a lambda series")
+        if self.lam is not None:
+            _above("lam", self.lam, 1)
+        ns = self.n_range()
+        if ns is not None and not ns:
+            raise ValueError(f"n_max {ns.stop - 1} is below n_min {ns.start}: no shell to sum")
+
+    def n_range(self) -> range | None:
+        """The shell indices, an end left out taken from DYADIC_RANGE; None,
+        for a lambda series not given both ends, lets it pick its own."""
+        if self.kind == "lambda" and None in (self.n_min, self.n_max):
+            return None
+        lo = DYADIC_RANGE.start if self.n_min is None else self.n_min
+        hi = DYADIC_RANGE.stop - 1 if self.n_max is None else self.n_max
+        return range(lo, hi + 1)
+
+
+@dataclass(frozen=True)
+class Start:
+    x: tuple[float, ...]
+    t: float
+
+    def __post_init__(self):
+        point(self.x, self.t)  # finite components
+
+    def check_context(self, ctx):
+        if len(self.x) != ctx.dim:
+            raise ValueError(f"x needs {ctx.dim} components, got {len(self.x)}")
+        if not ctx.admits(self.t):
+            raise ValueError(f"t {self.t} is outside the half-space")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A GridPolicy without its t_start, which is the start point's time."""
+
+    t_end: float
+    ratio: float = GridPolicy.ratio
+
+    def check_context(self, ctx):
+        if not (np.isfinite(self.t_end) and ctx.admits(self.t_end)):
+            raise ValueError(f"t_end {self.t_end} is not a finite time in the half-space")
+
+
+@dataclass(frozen=True)
+class SimulateSettings:
+    start: Start
+    grid: Grid
+    n_paths: int
+    region: Optional[Region] = None
+    deltas: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.n_paths < 0:
+            raise ValueError(f"n_paths must be >= 0, got {self.n_paths}")
+
+    @property
+    def grid_policy(self) -> GridPolicy:
+        return GridPolicy(self.start.t, self.grid.t_end, self.grid.ratio)
+
+    def check_context(self, ctx):
+        if self.deltas and not np.all(ctx.admits(self.deltas)):
+            raise ValueError(f"deltas {list(self.deltas)} are not all inside the half-space")
+        self.grid_policy.times(ctx)  # at least two times, from start.t toward t_end
+
+
+@dataclass(frozen=True)
+class MeanValueField:
+    """A closed-form pole-weighted caloric fixture (see _named_field)."""
+
+    kind: Literal["one", "caloric_quadratic", "caloric_mixed"]
+
+
+@dataclass(frozen=True)
+class MeanValueSettings(_Centred):
+    u: MeanValueField
+    c: float = 1.0
+    time_center: Optional[float] = None
+
+    def __post_init__(self):
+        _above("c", self.c, 0)
+
+
+@dataclass(frozen=True)
+class HarnackField:
+    """The constant 1, or the kernel ratio from a source below the balls."""
+
+    kind: Literal["one", "source_ratio"]
+
+
+@dataclass(frozen=True)
+class HarnackSettings(_Centred):
+    u: HarnackField = HarnackField("one")
+    c_values: tuple[float, ...] = (0.5, 1.0, 2.0)
+    time_center: Optional[float] = None
+
+    def __post_init__(self):
+        if not self.c_values:
+            raise ValueError("c_values needs at least one scale")
+        _above("c_values", min(self.c_values), 0)
+
+
+@dataclass(frozen=True)
+class AppellCheckSettings:
+    n_points: int = 1000
+    step: float = 5e-3
+
+    def __post_init__(self):
+        if self.n_points < 0:
+            raise ValueError(f"n_points must be >= 0, got {self.n_points}")
+        _above("step", self.step, 0)
+
 
 # CSV files not named <stem>_table.csv
 _CSV_FILE = {"capacity": "capacity_measure.csv", "simulate": "simulate_paths.csv"}
@@ -172,9 +294,8 @@ def _emit(out, emit, stem, report, header, rows):
             dump_csv(path, header, rows)
 
 
-def _named_field(spec_obj, ctx, pointer, errors):
-    """Closed-form pole-weighted caloric fixtures addressable from configs."""
-    kind = spec_obj.get("kind") if isinstance(spec_obj, dict) else None
+def _named_field(kind, ctx):
+    """The MeanValueField of kind, and its value at a centre time."""
     g = ctx.gamma
 
     if kind == "one":
@@ -182,13 +303,10 @@ def _named_field(spec_obj, ctx, pointer, errors):
     if kind == "caloric_quadratic":
         def v(xs, ts):
             return np.sum((xs - g) ** 2, axis=1) + 2.0 * ctx.dim * ts
-    elif kind == "caloric_mixed":
+    else:  # caloric_mixed
         def v(xs, ts):
             s = xs[:, 0] - g[0]
             return s * s + 2.0 * ts + s
-    else:
-        _err(errors, pointer, f"unknown field fixture {kind!r}")
-        return None, None
 
     def u(xs, ts):
         return v(xs, ts) / np.exp(log_pole_weight(xs, ts, ctx))
@@ -213,49 +331,20 @@ def _audit(ctx, seed, extra):
     }
 
 
-def _run_capacity(ctx, params, seed, out, emit, errors):
-    shell_obj = _get(params, "shell", "/parameters", errors, types=dict)
-    region = _parse_region(params, ctx, errors)
-    refinement = _settings(Refinement, params, errors)
-    t0 = _time_center(params, ctx, errors)
-    shell = None
-    if shell_obj is not None:
-        kind = _get(shell_obj, "kind", "/parameters/shell", errors, types=str,
-                    choices=set(_SHELL_KEYS))
-        if kind in _SHELL_KEYS:
-            _known(shell_obj, _SHELL_KEYS[kind], "/parameters/shell", errors)
-        if kind == "dyadic":
-            n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
-            if n is not None:
-                shell = dyadic_shell(ctx, n, t0)
-        elif kind == "lambda":
-            lam = _get(shell_obj, "lam", "/parameters/shell", errors, types=NUMBER, above=1)
-            n = _get(shell_obj, "n", "/parameters/shell", errors, types=int)
-            if lam is not None and n is not None:
-                shell = level_shell(ctx, float(lam), n, t0)
-        elif kind == "ball":
-            sc = _get(shell_obj, "scale", "/parameters/shell", errors, types=NUMBER, above=0)
-            if sc is not None:
-                shell = HeatBall(ctx, t0, float(sc))
-    if errors:
-        raise ConfigError(errors)
-
-    result = capacity_of_region(CompactSet(shell, region), refinement=refinement, probe_seed=seed)
-    mu = result.capacitary
+def _run_capacity(ctx, seed, out, emit, task: CapacitySettings, refinement: Refinement):
+    shell = task.shell.build(ctx, task.t0(ctx))
+    result = capacity_of_region(CompactSet(shell, task.region), refinement=refinement,
+                                probe_seed=seed)
+    # the result's fields, serialized with the rest of the report by dump_json
+    body = {f.name: getattr(result, f.name) for f in fields(result)}
+    mu = body.pop("capacitary")
     report = _audit(ctx, seed, {
         "task": "capacity",
-        "value": result.value,
-        "converged": result.converged,
-        "max_potential": result.max_potential,
-        "probe_max_potential": result.probe_max_potential,
-        "comp_slack_residual": result.comp_slack_residual,
-        "duality_gap": result.duality_gap,
+        **body,
         "tolerance": refinement.tol,
         "rel_stall": refinement.rel_stall,
-        "history": result.history,
         "resolution": result.resolution.describe(),
         "shell_time_window": shell.time_window,
-        "diagnostics": result.diagnostics,
         "measure": {"nodes_x": mu.xs, "nodes_t": mu.ts, "masses": mu.masses},
     })
     _emit(out, emit, "capacity", report,
@@ -265,28 +354,12 @@ def _run_capacity(ctx, params, seed, out, emit, errors):
     return 0 if result.certified(refinement.tol) else 2
 
 
-def _run_series(ctx, params, seed, out, emit, errors):
-    region = _parse_region(params, ctx, errors, required=True)
-    kind = _get(params, "kind", "/parameters", errors, required=False, types=str,
-                choices={"dyadic", "lambda"}) or "dyadic"
-    lam = _get(params, "lam", "/parameters", errors, required=kind == "lambda",
-               types=NUMBER, above=1)
-    n_min = _get(params, "n_min", "/parameters", errors, required=False, types=int,
-                 default=DYADIC_RANGE.start)
-    n_max = _get(params, "n_max", "/parameters", errors, required=False, types=int,
-                 default=DYADIC_RANGE.stop - 1)
-    refinement = _settings(Refinement, params, errors)
-    policy = parse_fields(ClassifyPolicy, params.get("policy"), "/parameters/policy", errors)
-    if errors:
-        raise ConfigError(errors)
-
-    solve = {"refinement": refinement, "policy": policy, "probe_seed": seed}
-    if kind == "dyadic":
-        report_obj = series_terms(region, ctx, range(n_min, n_max + 1), **solve)
+def _run_series(ctx, seed, out, emit, task: SeriesSettings, refinement: Refinement):
+    solve = {"refinement": refinement, "policy": task.policy, "probe_seed": seed}
+    if task.kind == "dyadic":
+        report_obj = series_terms(task.region, ctx, task.n_range(), **solve)
     else:
-        # the lambda series picks its own shells unless both ends are given
-        n_rng = range(n_min, n_max + 1) if "n_min" in params and "n_max" in params else None
-        report_obj = lambda_series_terms(region, ctx, float(lam), n_rng, **solve)
+        report_obj = lambda_series_terms(task.region, ctx, task.lam, task.n_range(), **solve)
 
     body = to_jsonable(report_obj)
     body["lambda"] = body.pop("lam")
@@ -304,63 +377,24 @@ def _run_series(ctx, params, seed, out, emit, errors):
     return 2 if report_obj.verdict is Verdict.INCONCLUSIVE else 0
 
 
-def _run_simulate(ctx, params, seed, out, emit, errors):
-    start_obj = _get(params, "start", "/parameters", errors, types=dict, default={})
-    _known(start_obj, ("x", "t"), "/parameters/start", errors)
-    x0 = _get(start_obj, "x", "/parameters/start", errors, types=list, items=NUMBER)
-    if x0 is not None and len(x0) != ctx.dim:
-        _err(errors, "/parameters/start/x", f"needs {ctx.dim} components, got {len(x0)}")
-    t0 = _get(start_obj, "t", "/parameters/start", errors, types=NUMBER)
-    grid = parse_fields(GridPolicy, _get(params, "grid", "/parameters", errors, types=dict),
-                         "/parameters/grid", errors, t_start=None if t0 is None else float(t0))
-    n_paths = _get(params, "n_paths", "/parameters", errors, types=int, least=0)
-    region = _parse_region(params, ctx, errors)
-    deltas = _get(params, "deltas", "/parameters", errors, required=False, types=list,
-                  items=NUMBER)
-    for pointer, t in (("/parameters/start/t", t0),
-                       ("/parameters/grid/t_end", None if grid is None else grid.t_end)):
-        if t is not None and not ctx.admits(t):
-            _err(errors, pointer, f"expected a time in the context's half-space, got {t}")
-    if deltas and not np.all(ctx.admits(deltas)):
-        _err(errors, "/parameters/deltas", f"expected times in the context's half-space, got {deltas}")
-    if errors:
-        raise ConfigError(errors)
-    try:
-        start = point(np.asarray(x0, dtype=float), float(t0))
-        times = grid.times(ctx)
-    except ValueError as exc:
-        raise ConfigError([f"/parameters: {exc}"]) from exc
-
-    ens = simulate(start, grid, n_paths, ctx, seed)
-    est = None
-    if deltas:
-        est = cluster_probability(ens, region, deltas)
-
+def _run_simulate(ctx, seed, out, emit, task: SimulateSettings):
+    grid = task.grid_policy
+    times = grid.times(ctx)
+    ens = simulate(point(task.start.x, task.start.t), grid, task.n_paths, ctx, seed)
+    est = cluster_probability(ens, task.region, task.deltas) if task.deltas else None
     report = _audit(ctx, seed, {
         "task": "simulate",
-        "n_paths": n_paths,
-        "grid": {"t_start": grid.t_start, "t_end": grid.t_end, "ratio": grid.ratio,
-                 "n_times": int(times.shape[0])},
+        "n_paths": task.n_paths,
+        "grid": {**to_jsonable(grid), "n_times": int(times.shape[0])},
         "estimate": est,
     })
     _emit(out, emit, "simulate", report, None, ens.to_csv)
-    if est is not None and est.verdict.value == "indeterminate":
-        return 2
-    return 0
+    return 2 if est is not None and est.verdict.value == "indeterminate" else 0
 
 
-def _run_mean_value(ctx, params, seed, out, emit, errors):
-    u_obj = _get(params, "u", "/parameters", errors, types=dict, default={})
-    _known(u_obj, ("kind",), "/parameters/u", errors)
-    c = float(_get(params, "c", "/parameters", errors, required=False, types=NUMBER,
-                   above=0, default=1.0))
-    t0 = _time_center(params, ctx, errors)
-    quad = _settings(QuadratureSpec, params, errors)
-    if errors:
-        raise ConfigError(errors)
-    u, center_val = _named_field(u_obj, ctx, "/parameters/u", errors)
-    if errors:
-        raise ConfigError(errors)
+def _run_mean_value(ctx, seed, out, emit, task: MeanValueSettings, quad: QuadratureSpec):
+    u, center_val = _named_field(task.u.kind, ctx)
+    t0, c = task.t0(ctx), task.c
     ball = HeatBall(ctx, t0, c)
     got = mean_value(u, ball.center, c, ctx, quad=quad)
     expected = center_val(t0)
@@ -379,26 +413,13 @@ def _run_mean_value(ctx, params, seed, out, emit, errors):
     return 0
 
 
-def _run_harnack(ctx, params, seed, out, emit, errors):
-    u_obj = _get(params, "u", "/parameters", errors, required=False, types=dict,
-                 default={"kind": "one"})
-    _known(u_obj, ("kind",), "/parameters/u", errors)
-    kind = _get(u_obj, "kind", "/parameters/u", errors, types=str,
-                choices={"one", "source_ratio"})
-    c_values = _get(params, "c_values", "/parameters", errors, required=False, types=list,
-                    items=NUMBER, above=0, default=[0.5, 1.0, 2.0])
-    if not c_values:
-        _err(errors, "/parameters/c_values", "expected at least one scale")
-    t0 = _time_center(params, ctx, errors)
-    if errors:
-        raise ConfigError(errors)
-
-    c_max = max(float(c) for c in c_values)
-    if kind == "one":
+def _run_harnack(ctx, seed, out, emit, task: HarnackSettings):
+    t0 = task.t0(ctx)
+    if task.u.kind == "one":
         u = lambda xs, ts: 1.0
     else:
         # the kernel ratio from a source below the largest double ball
-        big = HeatBall(ctx, t0, 2.0 * c_max)
+        big = HeatBall(ctx, t0, 2.0 * max(task.c_values))
         lo, _ = big.time_window
         src_t = np.array([0.5 * lo if ctx.is_upper else lo - abs(lo) - 1.0])
         src_x = big.axis(src_t)
@@ -407,7 +428,7 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
             return kernel_ratio_matrix(xs, ts, src_x, src_t, ctx)[:, 0]
 
     results = []
-    for c in map(float, c_values):
+    for c in task.c_values:
         res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx)
         results.append({"c": c, **to_jsonable(res)})
     report = _audit(ctx, seed, {
@@ -421,20 +442,14 @@ def _run_harnack(ctx, params, seed, out, emit, errors):
     return 0
 
 
-def _run_appell_check(ctx, params, seed, out, emit, errors):
-    n_points = _get(params, "n_points", "/parameters", errors, required=False, types=int,
-                    least=0, default=1000)
-    step = float(_get(params, "step", "/parameters", errors, required=False, types=NUMBER,
-                      above=0, default=5e-3))
-    if errors:
-        raise ConfigError(errors)
+def _run_appell_check(ctx, seed, out, emit, task: AppellCheckSettings):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     N = ctx.dim
     checks = []
 
     # round trip of the point map
-    xs = rng.normal(size=(n_points, N))
-    ts = rng.uniform(0.1, 3.0, n_points)
+    xs = rng.normal(size=(task.n_points, N))
+    ts = rng.uniform(0.1, 3.0, task.n_points)
     fx, ft = appell_map_arrays(xs, ts, AppellDirection.FORWARD)
     bx, bt = appell_map_arrays(fx, ft, AppellDirection.BACKWARD)
     worst = max(np.max(np.abs(bx - xs), initial=0.0), np.max(np.abs(bt - ts), initial=0.0))
@@ -473,8 +488,8 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
     res_h, res_h2 = 0.0, 0.0
     for x, t in zip(rng.normal(size=(20, N)), rng.uniform(0.4, 1.5, 20)):
         z = point(x, t)
-        r1 = verify_h_identities(u_field, z, up, step=step)
-        r2 = verify_h_identities(u_field, z, up, step=0.5 * step)
+        r1 = verify_h_identities(u_field, z, up, step=task.step)
+        r2 = verify_h_identities(u_field, z, up, step=0.5 * task.step)
         res_h = max(res_h, r1.residual)
         res_h2 = max(res_h2, r2.residual)
     halving_ratio = res_h / max(res_h2, 1e-300)
@@ -489,8 +504,8 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
     ok = all(c["residual"] <= c["threshold"] for c in checks) and halving_ratio >= HALVING_MIN
     report = _audit(ctx, seed, {
         "task": "appell-check",
-        "n_points": n_points,
-        "step": step,
+        "n_points": task.n_points,
+        "step": task.step,
         "checks": checks,
         "all_passed": ok,
     })
@@ -499,16 +514,39 @@ def _run_appell_check(ctx, params, seed, out, emit, errors):
     return 0 if ok else 1
 
 
-# each task's runner and the parameter keys it reads; any other key is an error
+# each task's runner, and the settings classes that read its parameters and
+# are passed to it after (ctx, seed, out, emit)
 _TASKS = {
-    "capacity": (_run_capacity, ("shell", "region", "time_center", *Refinement.CONFIG_KEYS)),
-    "series": (_run_series, ("region", "kind", "lam", "n_min", "n_max", "policy",
-                             *Refinement.CONFIG_KEYS)),
-    "simulate": (_run_simulate, ("start", "grid", "n_paths", "region", "deltas")),
-    "mean-value": (_run_mean_value, ("u", "c", "time_center", *QuadratureSpec.CONFIG_KEYS)),
-    "harnack": (_run_harnack, ("u", "c_values", "time_center")),
-    "appell-check": (_run_appell_check, ("n_points", "step")),
+    "capacity": (_run_capacity, (CapacitySettings, Refinement)),
+    "series": (_run_series, (SeriesSettings, Refinement)),
+    "simulate": (_run_simulate, (SimulateSettings,)),
+    "mean-value": (_run_mean_value, (MeanValueSettings, QuadratureSpec)),
+    "harnack": (_run_harnack, (HarnackSettings,)),
+    "appell-check": (_run_appell_check, (AppellCheckSettings,)),
 }
+
+
+def _parse(cfg, seed_override, errors):
+    """The run config and the task's settings read from cfg, each error
+    listed at its JSON pointer."""
+    run = parse_fields(RunConfig, cfg, "", errors)
+    if run is not None and seed_override is not None:
+        try:
+            run = replace(run, seed=seed_override)
+        except ValueError as exc:
+            errors.append(f"/seed: {exc}")
+    if errors:
+        return None, []
+    classes = _TASKS[run.task][1]
+    keys = tuple(k for cls in classes for k in config_keys(cls))
+    for key in run.parameters:
+        if key not in keys:
+            errors.append(f"/parameters/{key}: unknown key, expected one of {keys}")
+    return run, [
+        parse_fields(cls, {k: v for k, v in run.parameters.items() if k in config_keys(cls)},
+                     "/parameters", errors, run.context.ctx)
+        for cls in classes
+    ]
 
 
 def run_config(config_path, emit="both", seed_override=None, out_dir=".") -> int:
@@ -521,33 +559,20 @@ def run_config(config_path, emit="both", seed_override=None, out_dir=".") -> int
     except json.JSONDecodeError as exc:
         print(f"error /: invalid JSON: {exc}", file=sys.stderr)
         return 1
-
-    errors: list[str] = []
     if not isinstance(cfg, dict):
         print("error /: config must be a JSON object", file=sys.stderr)
         return 1
-    ctx = _parse_context(cfg, errors)
-    task = _get(cfg, "task", "", errors, types=str, choices=set(_TASKS))
-    params = _get(cfg, "parameters", "", errors, required=False, types=dict, default={})
-    seed_val = cfg.get("seed", 20240601)
-    if not isinstance(seed_val, int):
-        _err(errors, "/seed", "seed must be an integer")
-    if errors:
-        for e in errors:
-            print(f"error {e}", file=sys.stderr)
-        return 1
 
-    seed = int(seed_override) if seed_override is not None else int(seed_val)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runner, keys = _TASKS[task]
-    _known(params, keys, "/parameters", errors)
+    errors: list[str] = []
     try:
-        return runner(ctx, params, seed, out, emit, errors)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"error {e}", file=sys.stderr)
-        return 1
+        run, settings = _parse(cfg, seed_override, errors)
+        if errors:
+            for e in errors:
+                print(f"error {e}", file=sys.stderr)
+            return 1
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return _TASKS[run.task][0](run.context.ctx, run.seed, out, emit, *settings)
     except Exception as exc:  # surface compute failures as exit 1, not tracebacks
         print(f"error /run: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -565,11 +590,8 @@ def main(argv=None) -> int:
     runp.add_argument("--emit", choices=["csv", "json", "both"], default="both")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_config(args.config, emit=args.emit, seed_override=args.seed, out_dir=args.out)
-    parser.error(f"unknown command {args.command}")
-    return 1
+    args = parser.parse_args(argv)  # "run" is the one command
+    return run_config(args.config, emit=args.emit, seed_override=args.seed, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,6 @@ class GridPolicy:
     (t_end < t_start < 0).
     """
 
-    CONFIG_KEYS = ("t_end", "ratio")  # t_start comes from the start point
     t_start: float
     t_end: float
     ratio: float = 0.9

@@ -9,6 +9,7 @@ depend on locale; floats go through repr, which round-trips.  The way back,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import MISSING
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["to_jsonable", "dump_json", "dump_csv", "typed", "parse_value", "parse_fields"]
+__all__ = ["to_jsonable", "dump_json", "dump_csv", "typed", "config_keys", "parse_value",
+           "parse_fields"]
 
 
 def to_jsonable(obj):
@@ -55,10 +57,16 @@ def parse_value(hint, val, pointer, errors, ctx=None):
     """val read as a value of type hint, or None after an error at pointer.
 
     hint is int, float (an int or a float, never NaN), str, Optional[X], a
-    tuple type (a list, read item by item at pointer/i), a dataclass (see
-    parse_fields) or a base class whose subclasses carry ``kind`` tags, read
-    as the subclass of the object's "kind".  ctx goes to parse_fields."""
+    Literal (one of its values), a tuple type (a list, read item by item at
+    pointer/i), dict (any object), a dataclass (see parse_fields) or a base
+    class whose subclasses carry ``kind`` tags, read as the subclass of the
+    object's "kind".  ctx goes to parse_fields."""
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Literal:
+        if val in args:
+            return val
+        errors.append(f"{pointer}: expected one of {sorted(args)}, got {val!r}")
+        return None
     if type(None) in args:
         return None if val is None else parse_value(args[0], val, pointer, errors, ctx)
     if typing.get_origin(hint) is tuple:
@@ -83,6 +91,8 @@ def parse_value(hint, val, pointer, errors, ctx=None):
     if not isinstance(val, dict):
         errors.append(f"{pointer}: expected an object, got {val!r}")
         return None
+    if hint is dict:
+        return val
     kinds = {cls.kind: cls for cls in hint.__subclasses__() if hasattr(cls, "kind")}
     kind = val.get("kind")
     if not (isinstance(kind, str) and kind in kinds):
@@ -91,22 +101,35 @@ def parse_value(hint, val, pointer, errors, ctx=None):
     return parse_fields(kinds[kind], val, pointer, errors, ctx)
 
 
-def parse_fields(cls, obj, pointer, errors, ctx=None, **given):
-    """cls from the fields in given and the JSON object at pointer (None reads
-    as {}), whose keys are cls.CONFIG_KEYS, or else its fields and kind tag,
-    each read as its field's type; None after an error.  With ctx, fields are
-    read in cls.child_context(ctx) and the value must pass check_context(ctx),
-    where cls defines them.  A value cls rejects is an error at the key its
-    message names first."""
+# the field types and keys of a class are worked out once: every run reads
+# a config
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+@functools.cache
+def config_keys(cls) -> tuple:
+    """The JSON keys of the dataclass cls: its CONFIG_KEYS, or else its fields."""
+    return getattr(cls, "CONFIG_KEYS", None) or tuple(
+        f.name for f in dataclasses.fields(cls) if f.init)
+
+
+def parse_fields(cls, obj, pointer, errors, ctx=None):
+    """cls from the JSON object at pointer (None reads as {}), whose keys are
+    config_keys(cls) and a kind tag, each read as its field's type; None
+    after an error.  With ctx, fields are read in cls.child_context(ctx) and
+    the value must pass check_context(ctx), where cls defines them.  A value
+    cls rejects is an error at the key its message names first, given or left
+    to its default."""
     obj = {} if obj is None else obj
     if not isinstance(obj, dict):
         errors.append(f"{pointer}: expected an object, got {type(obj).__name__}")
         return None
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
-    keys = getattr(cls, "CONFIG_KEYS", None) or tuple(f.name for f in fields)
+    keys = config_keys(cls)
     inner = cls.child_context(ctx) if ctx is not None and hasattr(cls, "child_context") else ctx
     n_errors = len(errors)
+    given = {}
     for key, val in obj.items():
         if key in keys:
             given[key] = parse_value(hints[key], val, f"{pointer}/{key}", errors, inner)
@@ -124,7 +147,7 @@ def parse_fields(cls, obj, pointer, errors, ctx=None, **given):
         return out
     except (TypeError, ValueError) as exc:
         key = str(exc).partition(" ")[0]
-        errors.append(f"{pointer}/{key}: {exc}" if key in obj else f"{pointer}: {exc}")
+        errors.append(f"{pointer}/{key}: {exc}" if key in keys else f"{pointer}: {exc}")
         return None
 
 

@@ -73,6 +73,14 @@ class ClassifyPolicy:
     curvature_tol: float = 2e-3
     zero_floor: float = 1e-300
 
+    def __post_init__(self):
+        # a trend needs two points to fit and a ratio to take the log of
+        for name in ("window", "min_terms"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        if not self.rho_max > 0:
+            raise ValueError(f"rho_max must be > 0, got {self.rho_max}")
+
 
 @dataclass(frozen=True)
 class ShellTerm:

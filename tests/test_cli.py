@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from parcap.geometry import Resolution
 from parcap.hbrownian import GridPolicy
 from parcap.kernel import lower_context
 from parcap.measures import DiscreteMeasure
+from parcap.reporting import config_keys
 from parcap.cli import main
 from test_geometry import REGION_TREES
 
@@ -485,13 +487,39 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
         ("simulate.region", {"kind": "intersection", "children": [
             _BALL, {"kind": "time_slab", "t_min": 0.0, "t_max": 1.0}]},
          "/parameters/region/children/1/t_min"),
+        # "<task>./.<key>" sets a top-level key: a seed is an integer in [0, 2**64)
+        ("simulate./.seed", True, "/seed"),
+        ("simulate./.seed", -1, "/seed"),
+        ("simulate./.seed", 2**64, "/seed"),
+        ("appell_check./.seed", -5, "/seed"),
+        ("appell_check./.seed", "77", "/seed"),
+        ("appell_check./.seed", 7.0, "/seed"),
+        # unknown keys at the top level and in the context
+        ("series./.bogus", 1, "/bogus"),
+        ("series.context.bogus", 1, "/context/bogus"),
+        # a trend fit needs a window and a count of at least two, and rho_max > 0
+        ("policy", {"window": 1}, "/parameters/policy/window"),
+        ("policy", {"window": 0}, "/parameters/policy/window"),
+        ("policy", {"window": -3}, "/parameters/policy/window"),
+        ("policy", {"min_terms": 1}, "/parameters/policy/min_terms"),
+        ("policy", {"rho_max": 0}, "/parameters/policy/rho_max"),
+        ("policy", {"rho_max": -0.5}, "/parameters/policy/rho_max"),
+        # a kind outside its choices
+        ("series.kind", "geometric", "/parameters/kind"),
+        ("mean_value.u", {"kind": "cubic"}, "/parameters/u/kind"),
+        ("harnack.u", {}, "/parameters/u/kind"),
+        ("capacity.shell", {"kind": "cone"}, "/parameters/shell/kind"),
+        # an infinite time is refused where it is given, not found in the compute
+        ("simulate.grid", {"t_end": float("-inf"), "ratio": 0.8}, "/parameters/grid/t_end"),
+        ("simulate.start", {"x": [0.0], "t": float("-inf")}, "/parameters/start"),
+        ("harnack.time_center", float("-inf"), "/parameters/time_center"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
     task, _, key = key.rpartition(".")
     task, _, section = task.partition(".")
     cfg = json.loads(json.dumps(REPORT_KEYS_CASES[task or "series"][0]))
-    cfg[section or "parameters"][key] = value
+    (cfg if section == "/" else cfg[section or "parameters"])[key] = value
     assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert pointer in err
@@ -547,6 +575,116 @@ def test_mutated_region_configs_fail_at_their_pointer(tmp_path_factory, reg, dat
         assert run(["run", write_config(tmp, cfg), "--out", tmp / "o"]) == 1
     assert f"error /parameters/region{path}: " in err.getvalue()
     assert "Traceback" not in err.getvalue() and "/run" not in err.getvalue()
+
+
+# parameters added to the REPORT_KEYS_CASES configs before they are mutated,
+# so that every key of every task is mutated
+_FUZZ_MORE = {
+    "capacity": {"tol": 1e-3, "rel_stall": 0.02, "time_center": -0.25},
+    "series": {"lam": 2.0, "tol": 1e-3, "levels": [0],
+               "resolution": {"base_time": 6, "base_radial": 2, "base_angular": 8,
+                              "base_polar": 4},
+               "policy": {"eps_slope": 0.05, "rho_max": 0.8, "window": 6, "min_terms": 6}},
+    "mean_value": {"time_center": 1.0, "tol": 1e-3},
+    "harnack": {"time_center": -0.25},
+}
+# the keys a config may not leave out: in every task that has them, and in
+# one task only
+_REQUIRED = {"/context", "/context/dim", "/context/half_space", "/task", "/parameters/shell",
+             "/parameters/shell/kind", "/parameters/shell/n", "/parameters/start",
+             "/parameters/start/x", "/parameters/start/t", "/parameters/grid",
+             "/parameters/grid/t_end", "/parameters/n_paths", "/parameters/u/kind"}
+_REQUIRED_IN = {"series": {"/parameters/region"}, "mean_value": {"/parameters/u"}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(REPORT_KEYS_CASES)), st.data())
+def test_mutated_task_configs_fail_at_their_pointer(tmp_path_factory, stem, data):
+    """Drop a required key, add an unknown one, or put a string, a bool or
+    NaN in place of a number, anywhere in a task config but inside its
+    region: exit 1 at that key, before any compute."""
+    cfg = json.loads(json.dumps(REPORT_KEYS_CASES[stem][0]))
+    cfg["parameters"].update(json.loads(json.dumps(_FUZZ_MORE.get(stem, {}))))
+    slots = [(p, v) for p, v in _json_slots(cfg) if not p.startswith("/parameters/region/")]
+    numbers = [p for p, v in slots if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    nodes = [p for p, v in slots if isinstance(v, dict)]
+    required = [p for p, _ in slots if p in _REQUIRED | _REQUIRED_IN.get(stem, set())]
+    how = data.draw(st.sampled_from(["drop", "add", "retype"]))
+    if how == "retype":
+        path = data.draw(st.sampled_from(numbers))
+        parent, _, key = path.rpartition("/")
+        node = _at(cfg, parent)
+        node[int(key) if isinstance(node, list) else key] = data.draw(
+            st.sampled_from(["1.0", True, False, float("nan")]))
+    elif how == "add":
+        parent = data.draw(st.sampled_from(nodes))
+        _at(cfg, parent)["bogus"] = 1.0
+        path = f"{parent}/bogus"
+    else:
+        path = data.draw(st.sampled_from(required))
+        parent, _, key = path.rpartition("/")
+        del _at(cfg, parent)[key]
+    tmp = tmp_path_factory.mktemp("mutated")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["run", write_config(tmp, cfg), "--out", tmp / "o"]) == 1
+    assert f"error {path}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue() and "/run" not in err.getvalue()
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_an_out_of_range_seed_override_is_a_config_error(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, REPORT_KEYS_CASES["appell_check"][0])
+    assert run(["run", cfg, "--seed", seed, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == (
+        f"error /seed: seed must be an integer in [0, 2**64), got {seed}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_largest_seed_runs(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {**REPORT_KEYS_CASES["simulate"][0], "seed": 2**64 - 1})
+    assert run(["run", cfg, "--out", out]) in (0, 2)
+    assert json.loads((out / "simulate_report.json").read_text())["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("params", [
+    {"n_min": 20},
+    {"n_max": 1},
+    {"n_min": 8, "n_max": 2},
+    {"kind": "lambda", "lam": 2.0, "n_min": 8, "n_max": 2},
+])
+def test_an_empty_shell_range_is_a_config_error(tmp_path, capsys, monkeypatch, params):
+    """A series needs at least one shell, its range read after the defaults."""
+    calls = []
+    monkeypatch.setattr(wiener, "capacity_of_region", lambda *args, **kwargs: calls.append(args))
+    cfg = {"context": _CTX_LO, "task": "series",
+           "parameters": {"region": {"kind": "empty"}, **params}}
+    assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error /parameters/n_max: ")
+
+
+def test_a_lambda_series_given_one_end_picks_its_own_shells(tmp_path, monkeypatch):
+    monkeypatch.setattr(wiener, "capacity_of_region", lambda *args, **kwargs: _fake_result())
+    cfg = {"context": _CTX_LO, "task": "series",
+           "parameters": {"region": {"kind": "empty"}, "kind": "lambda", "lam": 2.0, "n_min": 20}}
+    out = tmp_path / "s"
+    assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+    terms = json.loads((out / "series_report.json").read_text())["terms"]
+    assert [t["n"] for t in terms] == list(wiener.auto_level_range(lower_context(1), 2.0))
+
+
+def test_readme_lists_the_keys_each_task_declares():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index("| task | accepted parameter keys |") + 2:]:
+        if not line.startswith("|"):
+            break
+        task, keys = (re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        rows[task[0]] = tuple(keys)
+    assert rows == {task: tuple(k for cls in classes for k in config_keys(cls))
+                    for task, (_, classes) in cli._TASKS.items()}
 
 
 def test_unknown_parameters_are_refused_before_any_compute(tmp_path, capsys, monkeypatch):
