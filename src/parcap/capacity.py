@@ -11,6 +11,12 @@ temporal cell) and a halo of constraint points is added in a slab above the
 set.  A seeded random probe cloud, denser than the collocation, re-checks
 feasibility of the returned measure; violations are reported, never clipped.
 
+The dense kernel matrix over every collocation row and node is the only
+full-size array a solve allocates, unless a column of it is numerically zero
+and a copy without that column is taken.  ``kernel_ratio_matrix`` fills it
+over row blocks and never computes its non-causal entries, which are exact
+zeros, and each column's peak row is found by a scan over row blocks of it.
+
 The solver is free as long as the certificates hold.  Here the LP goes to
 HiGHS by row generation: only a few percent of the collocation rows bind, so
 HiGHS sees a working set of rows that starts at each column's peak row and
@@ -50,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import CompactSet, NodeCloud, Resolution, discretize
-from .kernel import PoleContext, SpaceTimePoint, kernel_ratio_matrix, log_pole_weight
+from .kernel import KERNEL_BLOCK, PoleContext, SpaceTimePoint, kernel_ratio_matrix, log_pole_weight
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -423,8 +429,7 @@ def _solve(cloud: NodeCloud, coll: Collocation):
     kernel matrix, with the solver facts."""
     A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
 
-    peak = A.argmax(axis=0)
-    col_max = A[peak, np.arange(A.shape[1])]
+    peak, col_max = _column_peaks(A)
     alive = col_max > 0.0
     if not np.any(alive):
         raise SolverFailure("every kernel column is numerically zero", 0.0)
@@ -448,6 +453,25 @@ def _solve(cloud: NodeCloud, coll: Collocation):
     red = np.zeros(len(cloud))
     red[alive] = cm * (A.T @ y) - 1.0
     return masses, y, pots, red, lp_facts
+
+
+def _column_peaks(A):
+    """Each column's first row of largest value, and that value, as
+    A.argmax(axis=0) gives it, scanning row blocks: argmax along the rows
+    copies what it scans, so a block at a time keeps the copy small.  A
+    later block takes a column's peak only when it is strictly greater."""
+    peak = np.zeros(A.shape[1], dtype=np.intp)
+    col_max = np.full(A.shape[1], -np.inf)
+    cols = np.arange(A.shape[1])
+    step = max(1, KERNEL_BLOCK // A.shape[1])
+    for i in range(0, A.shape[0], step):
+        block = A[i:i + step]
+        rows = block.argmax(axis=0)
+        vals = block[rows, cols]
+        later = vals > col_max
+        peak[later] = rows[later] + i
+        col_max[later] = vals[later]
+    return peak, col_max
 
 
 def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):

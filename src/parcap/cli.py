@@ -31,7 +31,9 @@ from .geometry import (
     CompactSet,
     HeatBall,
     default_time_center,
+    dyadic_scale,
     dyadic_shell,
+    level_scale,
     level_shell,
 )
 from .hbrownian import GridPolicy, cluster_probability, simulate
@@ -62,6 +64,17 @@ HALVING_MIN = 3.0
 def _above(name, value, bound):
     if not value > bound:
         raise ValueError(f"{name} must be > {bound}, got {value}")
+
+
+def _shell_scales(name, n, scale):
+    """Refuse shell index n unless its inner and outer scales, scale(n - 1)
+    and scale(n), are floats with 0 < inner < outer < inf."""
+    try:
+        ok = 0.0 < scale(n - 1) < scale(n) < np.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} {n} puts the shell's scale outside the float range")
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,9 @@ class DyadicShell(Shell):
     kind = "dyadic"
     n: int
 
+    def __post_init__(self):
+        _shell_scales("n", self.n, dyadic_scale)
+
     def build(self, ctx, t0):
         return dyadic_shell(ctx, self.n, t0)
 
@@ -116,6 +132,9 @@ class LambdaShell(Shell):
 
     def __post_init__(self):
         _above("lam", self.lam, 1)
+
+    def check_context(self, ctx):
+        _shell_scales("n", self.n, lambda n: level_scale(self.lam, n, ctx.dim))
 
     def build(self, ctx, t0):
         return level_shell(ctx, self.lam, self.n, t0)
@@ -169,6 +188,15 @@ class SeriesSettings:
         ns = self.n_range()
         if ns is not None and not ns:
             raise ValueError(f"n_max {ns.stop - 1} is below n_min {ns.start}: no shell to sum")
+
+    def check_context(self, ctx):
+        ns = self.n_range()
+        if ns is None:
+            return
+        scale = dyadic_scale if self.kind == "dyadic" else lambda n: level_scale(self.lam, n, ctx.dim)
+        # scales grow with n, so the two ends bound every shell between
+        _shell_scales("n_min", ns.start, scale)
+        _shell_scales("n_max", ns[-1], scale)
 
     def n_range(self) -> range | None:
         """The shell indices, an end left out taken from DYADIC_RANGE; None,

@@ -38,7 +38,9 @@ from .regions import Region, TimeSlab, Intersection
 __all__ = [
     "HeatBall",
     "HeatShell",
+    "dyadic_scale",
     "dyadic_shell",
+    "level_scale",
     "level_shell",
     "ball_radius",
     "harnack_region",
@@ -190,11 +192,24 @@ class HeatShell:
         return HeatShell(self.outer.appell_image(), self.inner.appell_image(), self.label)
 
 
+def dyadic_scale(n: int) -> float:
+    """The scale 2^n of the outer ball of dyadic shell n; the inner ball's is
+    that of n - 1.  Raises OverflowError past the float range."""
+    return 2.0**n
+
+
+def level_scale(lam: float, n: int, dim: int) -> float:
+    """The scale lambda^(2n/N) / 4 pi of the ball at ratio level lambda^(-n),
+    the outer ball of level shell n.  Raises OverflowError past the float
+    range."""
+    return lam ** (2.0 * n / dim) / (4.0 * np.pi)
+
+
 def dyadic_shell(ctx: PoleContext, n: int, time_center: float | None = None) -> HeatShell:
     """Shell at scale 2^n with inner scale 2^(n-1)."""
     t0 = default_time_center(ctx) if time_center is None else float(time_center)
-    outer = HeatBall(ctx, t0, 2.0**n)
-    inner = HeatBall(ctx, t0, 2.0 ** (n - 1))
+    outer = HeatBall(ctx, t0, dyadic_scale(n))
+    inner = HeatBall(ctx, t0, dyadic_scale(n - 1))
     return HeatShell(outer, inner, label=f"dyadic n={n}")
 
 
@@ -205,11 +220,8 @@ def level_shell(
     if lam <= 1.0:
         raise ValueError("lambda must exceed 1")
     t0 = default_time_center(ctx) if time_center is None else float(time_center)
-    N = ctx.dim
-    c_out = lam ** (2.0 * n / N) / (4.0 * np.pi)
-    c_in = lam ** (2.0 * (n - 1) / N) / (4.0 * np.pi)
-    outer = HeatBall(ctx, t0, c_out)
-    inner = HeatBall(ctx, t0, c_in)
+    outer = HeatBall(ctx, t0, level_scale(lam, n, ctx.dim))
+    inner = HeatBall(ctx, t0, level_scale(lam, n - 1, ctx.dim))
     return HeatShell(outer, inner, label=f"lambda={lam} n={n}")
 
 

@@ -63,6 +63,10 @@ __all__ = [
 # removes the 0 * inf ambiguity on the diagonal.
 TIME_EPS = 1e-14
 
+# entries per block of kernel_ratio_matrix: its temporaries stay in cache
+# and their size no longer grows with the matrix
+KERNEL_BLOCK = 1 << 16
+
 
 class DomainError(ValueError):
     """A point lies outside the half-space the operation is defined on."""
@@ -302,45 +306,67 @@ def kernel_ratio_matrix(
     squared distance free of the large |gamma|^2 |t| terms that cancel.
 
     Entries with t_z - t_w <= eps are exactly zero.
+
+    The output is the only full-size allocation.  It is filled over blocks
+    of about KERNEL_BLOCK entries, and in each block of rows only the column
+    prefix that can be causal is computed: past it every column has
+    t_w >= max t_z over the block, so its entries stay zero and never reach
+    log or exp.  Each entry goes through the same operations whatever the
+    blocking, so the matrix does not depend on it.
     """
     zx = np.atleast_2d(np.asarray(zx, dtype=float))
     wx = np.atleast_2d(np.asarray(wx, dtype=float))
     zt = np.asarray(zt, dtype=float).reshape(-1)
     wt = np.asarray(wt, dtype=float).reshape(-1)
-
-    dt = zt[:, None] - wt[None, :]
-    pos = dt > TIME_EPS
-    if not np.any(pos):
-        return np.zeros(dt.shape)
+    out = np.zeros((zt.shape[0], wt.shape[0]))
+    if out.size == 0:
+        return out
 
     uz = zx - ctx.axis(zt)  # (nz, N)
     uw = wx - ctx.axis(wt)  # (nw, N)
-    gap = dt
     if ctx.is_upper:
         uz = uz / (2.0 * zt[:, None])
         uw = uw / (2.0 * wt[:, None])
-        gap = dt / (4.0 * zt[:, None] * wt[None, :])
-    # one scratch matrix, reused in place: |uz - uw|^2 expanded to avoid
-    # forming an (nz, nw, N) array, then the log ratio, then its exp
-    sq = uz @ uw.T
-    sq *= 2.0
-    np.subtract(np.sum(uz**2, axis=1)[:, None], sq, out=sq)
-    sq += np.sum(uw**2, axis=1)[None, :]
-    # gap is a fresh matrix either way; 4 gap, then 4 pi gap, in place
-    gap *= 4.0
-    # entries off the causal mask may turn inf or nan here; exp skips them
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sq /= gap
-        gap *= np.pi
-        np.log(gap, out=gap, where=pos)
-        gap *= -0.5 * ctx.dim
-        gap -= sq
-    out = sq
-    out.fill(0.0)
-    with np.errstate(under="ignore"):
-        np.exp(gap, out=out, where=pos)
-    # entries this small are numerically dead columns for the capacity solver
-    out[out < 1e-300] = 0.0
+    uz2 = np.sum(uz**2, axis=1)
+    uw2 = np.sum(uw**2, axis=1)
+    # suffix_min[j] = min(wt[j:]) is sorted, so the first column from which
+    # no later column is causal for any row of a block is a binary search;
+    # fmin passes over NaN times, which are never causal
+    suffix_min = np.fmin.accumulate(wt[::-1])[::-1]
+    step = max(1, KERNEL_BLOCK // wt.shape[0])
+    for i in range(0, zt.shape[0], step):
+        rows = slice(i, i + step)
+        p = int(np.searchsorted(suffix_min, np.max(zt[rows])))
+        if p == 0:
+            continue
+        dt = zt[rows, None] - wt[None, :p]
+        pos = dt > TIME_EPS
+        gap = dt
+        if ctx.is_upper:
+            gap = dt / (4.0 * zt[rows, None] * wt[None, :p])
+        # |uz - uw|^2 expanded to avoid forming an (rows, p, N) array, then
+        # the log ratio, then its exp, in place.  The cross term is summed
+        # coordinate by coordinate rather than by a BLAS product, whose
+        # rounding depends on the shape it is called with
+        sq = uz[rows, None, 0] * uw[None, :p, 0]
+        for k in range(1, uz.shape[1]):
+            sq += uz[rows, None, k] * uw[None, :p, k]
+        sq *= 2.0
+        np.subtract(uz2[rows, None], sq, out=sq)
+        sq += uw2[None, :p]
+        gap *= 4.0
+        # entries off the causal mask may turn inf or nan here; exp skips them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sq /= gap
+            gap *= np.pi
+            np.log(gap, out=gap, where=pos)
+            gap *= -0.5 * ctx.dim
+            gap -= sq
+        block = out[rows, :p]
+        with np.errstate(under="ignore"):
+            np.exp(gap, out=block, where=pos)
+        # entries this small are numerically dead columns for the capacity solver
+        block[block < 1e-300] = 0.0
     return out
 
 

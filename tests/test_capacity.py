@@ -9,6 +9,7 @@ import parcap as pc
 from parcap.capacity import (
     SCIPY_FLOOR,
     Refinement,
+    _column_peaks,
     build_collocation,
     capacity,
     capacity_of_region,
@@ -16,7 +17,7 @@ from parcap.capacity import (
     potential_batch,
 )
 from parcap.geometry import NodeCloud, Resolution, discretize
-from parcap.kernel import kernel_ratio_matrix, log_pole_weight
+from parcap.kernel import KERNEL_BLOCK, kernel_ratio_matrix, log_pole_weight
 from parcap.measures import DiscreteMeasure
 from parcap.regions import (
     HalfSpaceCut,
@@ -347,6 +348,23 @@ def test_shear_leaves_bare_lower_shells_unchanged(n, level):
     assert values[2] == pytest.approx(values[0], rel=1e-9)
 
 
+def test_shear_leaves_drift_tube_solves_unchanged():
+    """The drift tube follows the sheared pole axis, so its part in a lower
+    shell has the capacity of gamma 0 at every level of a whole refining
+    solve.  Values only: the vertex HiGHS returns, and with it the probe
+    maximum, may differ."""
+    tube = Tube(PowerProfile(1.5, 0.5), axis="drift")
+    refinement = Refinement(levels=(0, 1), resolution=Resolution(**SERIES_RES))
+    histories = [capacity_of_region(pc.CompactSet(pc.dyadic_shell(pc.lower_context(1, [g]), 4),
+                                                  tube), refinement=refinement).history
+                 for g in (0.0, 0.5, 2.0)]
+    levels, values = zip(*histories[0])
+    assert levels == (0, 1) and min(values) > 0.0
+    for history in histories[1:]:
+        assert [lv for lv, _ in history] == [0, 1]
+        assert [v for _, v in history] == pytest.approx(values, rel=1e-9)
+
+
 def _full_matrix_optimum(cloud, coll):
     """Value of the packing program over every collocation row at once, with
     HiGHS's default options (presolve on): a reference the solve never sees."""
@@ -422,6 +440,22 @@ def test_row_generation_matches_the_full_matrix_program(monkeypatch, ctx, region
     assert added.shape[0] == diag["lp_rows"]
     # each round re-solves from the last basis, not from scratch
     assert diag["lp_iterations"] < _cold_iterations(K, rounds)
+
+
+def test_column_peaks_are_argmax_with_its_ties():
+    """The blocked scan of each column's peak row gives what argmax over the
+    whole matrix gives, ties to the first row, across block boundaries too."""
+    ncols = 50
+    step = KERNEL_BLOCK // ncols
+    A = np.random.default_rng(5).integers(0, 4, size=(2 * step + 7, ncols)).astype(float)
+    A[:, 3] = 0.0                 # a dead column
+    A[[5, step + 5], 7] = 9.0     # a tie across a block boundary
+    A[:, 9] = np.minimum(A[:, 9], 1.0)
+    A[2 * step + 3, 9] = 2.0      # a peak only in the last block
+    peak, col_max = _column_peaks(A)
+    assert np.array_equal(peak, A.argmax(axis=0))
+    assert np.array_equal(col_max, A.max(axis=0))
+    assert peak[3] == 0 and peak[7] == 5 and peak[9] == 2 * step + 3
 
 
 class _FailedSolve:

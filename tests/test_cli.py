@@ -513,6 +513,18 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
         ("simulate.grid", {"t_end": float("-inf"), "ratio": 0.8}, "/parameters/grid/t_end"),
         ("simulate.start", {"x": [0.0], "t": float("-inf")}, "/parameters/start"),
         ("harnack.time_center", float("-inf"), "/parameters/time_center"),
+        # a shell index whose scale leaves the float range, refused where it is given
+        ("capacity.shell", {"kind": "dyadic", "n": 2000}, "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "dyadic", "n": -2000}, "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "lambda", "lam": 2, "n": -2000}, "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "lambda", "lam": 2, "n": 2000}, "/parameters/shell/n"),
+        ("series./.parameters", {"region": {"kind": "empty"}, "n_min": 1100, "n_max": 1101},
+         "/parameters/n_min"),
+        ("series.n_max", 1101, "/parameters/n_max"),
+        ("series./.parameters", {"region": {"kind": "empty"}, "n_min": -2000, "n_max": 2},
+         "/parameters/n_min"),
+        ("series./.parameters", {"region": {"kind": "empty"}, "kind": "lambda", "lam": 2,
+                                 "n_min": 2, "n_max": 5000}, "/parameters/n_max"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):

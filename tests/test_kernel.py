@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parcap as pc
 from parcap.kernel import (
+    KERNEL_BLOCK,
+    TIME_EPS,
     DimensionMismatchError,
     DomainError,
     kernel_ratio_matrix,
@@ -227,6 +231,170 @@ def test_ratio_matrix_precision_on_a_far_shell(make, gamma):
         worst = max(worst, float(np.max(np.abs(got[live] - want[live]) / want[live])))
     assert compared > 100
     assert worst <= 1e-11
+
+
+def _dense_reference(zx, zt, wx, wt, ctx):
+    """kernel_ratio_matrix as one dense evaluation over full-size scratch
+    matrices, kept as the reference for the blocked evaluator."""
+    zx = np.atleast_2d(np.asarray(zx, dtype=float))
+    wx = np.atleast_2d(np.asarray(wx, dtype=float))
+    zt = np.asarray(zt, dtype=float).reshape(-1)
+    wt = np.asarray(wt, dtype=float).reshape(-1)
+
+    dt = zt[:, None] - wt[None, :]
+    pos = dt > TIME_EPS
+    if not np.any(pos):
+        return np.zeros(dt.shape)
+
+    uz = zx - ctx.axis(zt)  # (nz, N)
+    uw = wx - ctx.axis(wt)  # (nw, N)
+    gap = dt
+    if ctx.is_upper:
+        uz = uz / (2.0 * zt[:, None])
+        uw = uw / (2.0 * wt[:, None])
+        gap = dt / (4.0 * zt[:, None] * wt[None, :])
+    # one scratch matrix, reused in place: |uz - uw|^2 expanded to avoid
+    # forming an (nz, nw, N) array, then the log ratio, then its exp
+    sq = uz @ uw.T
+    sq *= 2.0
+    np.subtract(np.sum(uz**2, axis=1)[:, None], sq, out=sq)
+    sq += np.sum(uw**2, axis=1)[None, :]
+    # gap is a fresh matrix either way; 4 gap, then 4 pi gap, in place
+    gap *= 4.0
+    # entries off the causal mask may turn inf or nan here; exp skips them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq /= gap
+        gap *= np.pi
+        np.log(gap, out=gap, where=pos)
+        gap *= -0.5 * ctx.dim
+        gap -= sq
+    out = sq
+    out.fill(0.0)
+    with np.errstate(under="ignore"):
+        np.exp(gap, out=out, where=pos)
+    # entries this small are numerically dead columns for the capacity solver
+    out[out < 1e-300] = 0.0
+    return out
+
+
+def _cross_term_bound(zx, zt, wx, wt, ctx):
+    """A bound on |log a - log b| for two evaluations of the ratio that round
+    the cross term uz . uw differently: each operation from it to the
+    exponent is exact to a few eps of (|uz| + |uw|)^2 / (4 gap), the largest
+    magnitude it meets, in the lower coordinates the ratio is taken in."""
+    uz = zx - ctx.axis(zt)
+    uw = wx - ctx.axis(wt)
+    gap = zt[:, None] - wt[None, :]
+    if ctx.is_upper:
+        uz = uz / (2.0 * zt[:, None])
+        uw = uw / (2.0 * wt[:, None])
+        gap = gap / (4.0 * zt[:, None] * wt[None, :])
+    size = (np.linalg.norm(uz, axis=1)[:, None] + np.linalg.norm(uw, axis=1)[None, :]) ** 2
+    return 16 * (ctx.dim + 1) * np.finfo(float).eps * (size / (4.0 * gap) + 1.0)
+
+
+def _assert_matches_reference(zx, zt, wx, wt, ctx):
+    """The evaluator against the dense reference: exact zeros off the causal
+    set, and equal in 1-D.  With N >= 2 the reference's BLAS product rounds
+    the cross term by a path that depends on the matrix shape, while the
+    evaluator sums it coordinate by coordinate, so there entries agree to
+    _cross_term_bound and the zero sets are equal."""
+    got = kernel_ratio_matrix(zx, zt, wx, wt, ctx)
+    want = _dense_reference(zx, zt, wx, wt, ctx)
+    causal = zt[:, None] - wt[None, :] > TIME_EPS
+    assert not np.any(got[~causal]) and not np.any(np.signbit(got))
+    if ctx.dim == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.array_equal(got == 0.0, want == 0.0)
+        live = want > 0.0
+        drift = np.abs(np.log(got[live]) - np.log(want[live]))
+        assert np.all(drift <= _cross_term_bound(zx, zt, wx, wt, ctx)[live])
+    return got, want
+
+
+def _ratio_inputs(rng, ctx, nz, nw, order, spread=2.0):
+    """Rows and columns in ctx's half-space, about half the entries causal,
+    with column times shuffled or sorted either way."""
+    sgn = 1.0 if ctx.is_upper else -1.0
+    zt = sgn * rng.uniform(0.05, 3.0, nz)
+    wt = sgn * rng.uniform(0.05, 3.0, nw)
+    if order != "shuffled":
+        wt.sort()
+    if order == "descending":
+        wt = wt[::-1].copy()
+    zx = spread * rng.normal(size=(nz, ctx.dim))
+    wx = spread * rng.normal(size=(nw, ctx.dim))
+    return zx, zt, wx, wt
+
+
+_DIRECTIONS = np.array([1.0, -0.7, 0.4])
+
+
+@pytest.mark.parametrize("order", ["shuffled", "ascending", "descending"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, -3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_ratio_matrix_matches_the_dense_reference(make, dim, gamma, order):
+    ctx = make(dim, gamma * _DIRECTIONS[:dim])
+    rng = np.random.default_rng([dim, int(10 * gamma) + 30, len(order)])
+    got, _ = _assert_matches_reference(*_ratio_inputs(rng, ctx, 150, 80, order), ctx)
+    assert 0.2 < np.mean(got > 0.0) < 0.8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_ratio_matrix_at_block_edges(make, dim):
+    """Row counts one either side of whole blocks, a first block of rows that
+    precede every column, and rows and columns evaluated apart: each entry
+    depends on its own two points only, in every dimension."""
+    ctx = make(dim, 0.5 * _DIRECTIONS[:dim])
+    rng = np.random.default_rng(dim)
+    nw = 256
+    step = KERNEL_BLOCK // nw
+    for nz in (step - 1, step, step + 1, 2 * step - 1, 2 * step + 1):
+        zx, zt, wx, wt = _ratio_inputs(rng, ctx, nz, nw, "shuffled")
+        # the first block holds no causal entry: its rows precede every column
+        lead = rng.uniform(0.2, 0.5, min(nz, step))
+        zt[:step] = np.min(wt) * lead if ctx.is_upper else np.min(wt) - lead
+        got, _ = _assert_matches_reference(zx, zt, wx, wt, ctx)
+        assert not np.any(got[: min(nz, step)])
+        for i in (0, step - 1, nz - 1):
+            assert np.array_equal(kernel_ratio_matrix(zx[i:i + 1], zt[i:i + 1], wx, wt, ctx),
+                                  got[i:i + 1])
+        cols = rng.permutation(nw)[:37]
+        assert np.array_equal(kernel_ratio_matrix(zx, zt, wx[cols], wt[cols], ctx), got[:, cols])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_ratio_matrix_cuts_entries_that_underflow(make, dim):
+    # spread points far apart, so that exponents run through -690 (1e-300)
+    # down past -745, where exp itself underflows to zero
+    ctx = make(dim, 0.5 * _DIRECTIONS[:dim])
+    rng = np.random.default_rng(10 + dim)
+    zx, zt, wx, wt = _ratio_inputs(rng, ctx, 300, 120, "shuffled", spread=30.0)
+    got, _ = _assert_matches_reference(zx, zt, wx, wt, ctx)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = np.exp(_direct_log_ratio(zx, zt, wx, wt, ctx))
+    causal = zt[:, None] - wt[None, :] > TIME_EPS
+    assert np.any(causal & (raw > 0.0) & (raw < 1e-300))
+    assert np.any(causal & (raw == 0.0))
+    assert np.any((got > 0.0) & (got < 1e-250))
+    assert not np.any((got > 0.0) & (got < 1e-300))
+
+
+def test_ratio_matrix_allocates_little_beyond_its_output():
+    ctx = pc.lower_context(1, [0.5])
+    zx, zt, wx, wt = _ratio_inputs(np.random.default_rng(3), ctx, 3000, 1000, "shuffled")
+    tracemalloc.start()
+    try:
+        out = kernel_ratio_matrix(zx, zt, wx, wt, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.any(out)
+    assert peak <= out.nbytes + 4 * 2**20
 
 
 @pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
