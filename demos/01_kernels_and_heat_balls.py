@@ -35,7 +35,7 @@ lo_t, hi_t = ball.time_window
 print("\nlower ball window           :", (lo_t, hi_t))
 for t in np.linspace(lo_t + 1e-6, hi_t - 1e-6, 5):
     print(f"  section radius at t={t:+.3f}: {pc.ball_radius(t, ball):.4f}")
-print("maximum radius (closed form):", np.sqrt(2 * 2 * 1.0 / np.e))
+print("maximum radius (closed form):", np.sqrt(ball.peak_radius_sq), "=", np.sqrt(2 * 2 * 1.0 / np.e))
 
 # ratio-threshold membership and the closed-form inequality agree
 probe = pc.point([0.4, 0.1], -0.6)

@@ -14,9 +14,12 @@ from parcap.capacity import capacity, capacity_of_region
 from parcap.geometry import Resolution, discretize
 
 lo = pc.lower_context(1)
-shell = pc.dyadic_shell(lo, 2)
+dyadic = pc.DyadicShells()  # shell n between the heat balls of scales 2^(n-1) and 2^n
+shell = dyadic.shell(lo, 2)
 compact = pc.CompactSet(shell, None)
 
+print("ball scales      :", (dyadic.scale(1, lo.dim), dyadic.scale(2, lo.dim)))
+print("series weight    :", dyadic.weight(2, lo.dim))
 print("shell time window:", shell.time_window)
 print("ratio levels     :", shell.levels)
 

@@ -26,10 +26,13 @@ for name, region in (("paraboloid tube", tube), ("far box", box)):
         print(f"{t.n:3d} {t.time_window[0]:14.2f} {t.capacity:10.3f} {t.term:8.4f} {s:8.3f}")
     print("verdict:", rep.verdict.value, f"({rep.confidence})", rep.diagnostics, "\n")
 
-# the level-shell variant re-indexes the same dichotomy for any lambda > 1
+# the level-shell family re-indexes the same dichotomy for any lambda > 1;
+# series_terms sums any family, by default over its own indices
 for lam in (1.5, 2.0):
-    rep = pc.lambda_series_terms(tube, lo, lam, n_range=range(3, 11), refinement=FAST["refinement"])
-    print(f"lambda={lam}: verdict={rep.verdict.value} terms={[round(t.term, 3) for t in rep.terms]}")
+    family = pc.LevelShells(lam)
+    rep = pc.series_terms(tube, lo, range(3, 11), family=family, refinement=FAST["refinement"])
+    print(f"lambda={lam}: verdict={rep.verdict.value} terms={[round(t.term, 3) for t in rep.terms]}"
+          f" (own indices {list(family.indices(lo.dim))})")
 
 # half-space duality: the image region in the upper half-space gets the same
 # verdict through its own series

@@ -55,6 +55,7 @@ from .regions import (
 )
 from .geometry import (
     CompactSet,
+    DyadicShells,
     HeatBall,
     HeatBallRegion,
     HeatShell,
@@ -64,7 +65,8 @@ from .geometry import (
     discretize,
     dyadic_shell,
     harnack_region,
-    level_shell,
+    LevelShells,
+    ShellFamily,
 )
 from .capacity import (
     CapacityResult,
@@ -81,7 +83,6 @@ from .wiener import (
     SeriesReport,
     Verdict,
     classify,
-    lambda_series_terms,
     series_terms,
 )
 from .hbrownian import (

@@ -27,20 +27,12 @@ from . import __version__
 from .appell import AppellDirection, appell_map_arrays, appell_transform, verify_h_identities
 from .averaging import QuadratureSpec, harnack_check, mean_value
 from .capacity import Refinement, capacity_of_region
-from .geometry import (
-    CompactSet,
-    HeatBall,
-    default_time_center,
-    dyadic_scale,
-    dyadic_shell,
-    level_scale,
-    level_shell,
-)
+from .geometry import CompactSet, DyadicShells, HeatBall, LevelShells, default_time_center
 from .hbrownian import GridPolicy, cluster_probability, simulate
 from .kernel import HalfSpace, PoleContext, kernel_ratio_matrix, log_heat_kernel, log_pole_weight, point
 from .regions import Region
 from .reporting import config_keys, dump_csv, dump_json, parse_fields, to_jsonable, typed
-from .wiener import DYADIC_RANGE, ClassifyPolicy, Verdict, lambda_series_terms, series_terms
+from .wiener import ClassifyPolicy, Verdict, series_terms
 
 CRITERION_TEXT = (
     "sum over n of weight(n) * capacity(complement intersect shell(n)):"
@@ -64,17 +56,6 @@ HALVING_MIN = 3.0
 def _above(name, value, bound):
     if not value > bound:
         raise ValueError(f"{name} must be > {bound}, got {value}")
-
-
-def _shell_scales(name, n, scale):
-    """Refuse shell index n unless its inner and outer scales, scale(n - 1)
-    and scale(n), are floats with 0 < inner < outer < inf."""
-    try:
-        ok = 0.0 < scale(n - 1) < scale(n) < np.inf
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} {n} puts the shell's scale outside the float range")
 
 
 @dataclass(frozen=True)
@@ -109,19 +90,21 @@ class RunConfig:
 
 class Shell:
     """The shell of a capacity task: a kind-tagged node that builds its
-    HeatShell or HeatBall at a time centre."""
+    HeatShell or HeatBall at a time centre, shell `n` of its `family`
+    unless it overrides both methods."""
+
+    def check_context(self, ctx):
+        self.family.check(ctx, self.n)
+
+    def build(self, ctx, t0):
+        return self.family.shell(ctx, self.n, t0)
 
 
 @dataclass(frozen=True)
 class DyadicShell(Shell):
     kind = "dyadic"
+    family = DyadicShells()
     n: int
-
-    def __post_init__(self):
-        _shell_scales("n", self.n, dyadic_scale)
-
-    def build(self, ctx, t0):
-        return dyadic_shell(ctx, self.n, t0)
 
 
 @dataclass(frozen=True)
@@ -131,13 +114,7 @@ class LambdaShell(Shell):
     n: int
 
     def __post_init__(self):
-        _above("lam", self.lam, 1)
-
-    def check_context(self, ctx):
-        _shell_scales("n", self.n, lambda n: level_scale(self.lam, n, ctx.dim))
-
-    def build(self, ctx, t0):
-        return level_shell(ctx, self.lam, self.n, t0)
+        object.__setattr__(self, "family", LevelShells(self.lam))
 
 
 @dataclass(frozen=True)
@@ -147,6 +124,9 @@ class BallShell(Shell):
 
     def __post_init__(self):
         _above("scale", self.scale, 0)
+
+    def check_context(self, ctx):
+        pass
 
     def build(self, ctx, t0):
         return HeatBall(ctx, t0, self.scale)
@@ -171,6 +151,10 @@ class CapacitySettings(_Centred):
     time_center: Optional[float] = None
 
 
+# the shell family of each series kind, given the series' lam
+_FAMILY = {"dyadic": lambda lam: DyadicShells(), "lambda": LevelShells}
+
+
 @dataclass(frozen=True)
 class SeriesSettings:
     region: Region
@@ -181,30 +165,24 @@ class SeriesSettings:
     policy: ClassifyPolicy = ClassifyPolicy()
 
     def __post_init__(self):
-        if self.kind == "lambda" and self.lam is None:
-            raise ValueError("lam is required by a lambda series")
         if self.lam is not None:
             _above("lam", self.lam, 1)
-        ns = self.n_range()
-        if ns is not None and not ns:
-            raise ValueError(f"n_max {ns.stop - 1} is below n_min {ns.start}: no shell to sum")
+        object.__setattr__(self, "family", _FAMILY[self.kind](self.lam))
 
     def check_context(self, ctx):
-        ns = self.n_range()
-        if ns is None:
-            return
-        scale = dyadic_scale if self.kind == "dyadic" else lambda n: level_scale(self.lam, n, ctx.dim)
-        # scales grow with n, so the two ends bound every shell between
-        _shell_scales("n_min", ns.start, scale)
-        _shell_scales("n_max", ns[-1], scale)
+        ns = self.n_range(ctx)
+        if not ns:
+            raise ValueError(f"n_max {ns.stop - 1} is below n_min {ns.start}: no shell to sum")
+        # scales, windows and radii grow with n, so the two ends bound every
+        # shell between
+        self.family.check(ctx, ns.start, "n_min")
+        self.family.check(ctx, ns[-1], "n_max")
 
-    def n_range(self) -> range | None:
-        """The shell indices, an end left out taken from DYADIC_RANGE; None,
-        for a lambda series not given both ends, lets it pick its own."""
-        if self.kind == "lambda" and None in (self.n_min, self.n_max):
-            return None
-        lo = DYADIC_RANGE.start if self.n_min is None else self.n_min
-        hi = DYADIC_RANGE.stop - 1 if self.n_max is None else self.n_max
+    def n_range(self, ctx) -> range:
+        """The shell indices, an end left out taken from the family's own."""
+        own = self.family.indices(ctx.dim)
+        lo = own.start if self.n_min is None else self.n_min
+        hi = own[-1] if self.n_max is None else self.n_max
         return range(lo, hi + 1)
 
 
@@ -383,11 +361,8 @@ def _run_capacity(ctx, seed, out, emit, task: CapacitySettings, refinement: Refi
 
 
 def _run_series(ctx, seed, out, emit, task: SeriesSettings, refinement: Refinement):
-    solve = {"refinement": refinement, "policy": task.policy, "probe_seed": seed}
-    if task.kind == "dyadic":
-        report_obj = series_terms(task.region, ctx, task.n_range(), **solve)
-    else:
-        report_obj = lambda_series_terms(task.region, ctx, task.lam, task.n_range(), **solve)
+    report_obj = series_terms(task.region, ctx, task.n_range(ctx), family=task.family,
+                              refinement=refinement, policy=task.policy, probe_seed=seed)
 
     body = to_jsonable(report_obj)
     body["lambda"] = body.pop("lam")

@@ -10,9 +10,10 @@ cross-section radii:
                               for tau0 - c < tau < tau0
 
 with ratio level (4 pi c)^(-N/2).  A shell is the closed region between the
-levels of scales c and c/2 (together with the center point); the general
-level-shell variant sandwiches the ratio between lambda^(-n+1) and
-lambda^(-n).
+levels of two scales (together with the center point).  Its two families,
+dyadic shells between scales 2^(n-1) and 2^n and level shells that sandwich
+the ratio between lambda^(-n+1) and lambda^(-n), are ShellFamily types that
+also hold each shell's series weight and default indices.
 
 Cross-sections are centered on the context's pole axis (``PoleContext.axis``).
 Discretization covers a shell-and-region intersection with space-time cells:
@@ -27,6 +28,7 @@ A ``CompactSet`` takes its context from its shell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -38,10 +40,10 @@ from .regions import Region, TimeSlab, Intersection
 __all__ = [
     "HeatBall",
     "HeatShell",
-    "dyadic_scale",
+    "ShellFamily",
+    "DyadicShells",
+    "LevelShells",
     "dyadic_shell",
-    "level_scale",
-    "level_shell",
     "ball_radius",
     "harnack_region",
     "HeatBallRegion",
@@ -117,6 +119,18 @@ class HeatBall:
     def radius(self, ts) -> np.ndarray:
         return np.sqrt(self.radius_sq(ts))
 
+    @property
+    def peak_radius_sq(self) -> float:
+        """The largest squared cross-section radius, 2N c/e at tau0 - c/e
+        below; above, its bound 2N t0 (log+(4 t0 c)/4 + 1/e), from u(1 - u)
+        <= 1/4 and (1 - u) log(1/(1 - u)) <= 1/e at u = t/t0.  Past the float
+        range it is inf, without a warning."""
+        n, c = self.dim, self.scale
+        if self.ctx.is_upper:
+            t0 = self.time_center
+            return 2.0 * n * t0 * (math.log(max(4.0 * t0 * c, 1.0)) / 4.0 + 1.0 / math.e)
+        return 2.0 * n * c / math.e
+
     def contains(self, xs, ts) -> np.ndarray:
         """Open-ball membership from the closed-form inequality."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -142,8 +156,7 @@ class HeatShell:
     """Closed region between the ratio levels of scales c and c_inner.
 
     Equals the closure of outer-ball minus inner-ball, together with the
-    shared center point.  The dyadic shell has c_inner = c/2; general level
-    shells sandwich the ratio between lambda^(-n+1) and lambda^(-n).
+    shared center point.  A ShellFamily picks the two scales.
     """
 
     outer: HeatBall
@@ -192,37 +205,91 @@ class HeatShell:
         return HeatShell(self.outer.appell_image(), self.inner.appell_image(), self.label)
 
 
-def dyadic_scale(n: int) -> float:
-    """The scale 2^n of the outer ball of dyadic shell n; the inner ball's is
-    that of n - 1.  Raises OverflowError past the float range."""
-    return 2.0**n
+class ShellFamily:
+    """Shells n between the heat balls of scales scale(n - 1) and scale(n),
+    weighted weight(n) in the removability series; a series given no indices
+    sums indices(N).  A subclass defines the three and its `kind` and `lam`,
+    which the series report records."""
+
+    def shell(self, ctx: PoleContext, n: int, time_center: float | None = None) -> HeatShell:
+        t0 = default_time_center(ctx) if time_center is None else float(time_center)
+        outer = HeatBall(ctx, t0, self.scale(n, ctx.dim))
+        inner = HeatBall(ctx, t0, self.scale(n - 1, ctx.dim))
+        return HeatShell(outer, inner, label=f"{self.kind} n={n}")
+
+    def check(self, ctx: PoleContext, n: int, key: str = "n") -> None:
+        """Refuse shell n, at the default time center, with a ValueError led
+        by key unless its scales are floats with 0 < inner < outer < inf, its
+        native-time window is finite with lo < hi, and four times its peak
+        squared radius (a bound on the squared distances within a cross
+        section) is finite."""
+        try:
+            ok = 0.0 < self.scale(n - 1, ctx.dim) < self.scale(n, ctx.dim) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{key} {n} puts the shell's scale outside the float range")
+        outer = self.shell(ctx, n).outer
+        try:
+            lo, hi = map(ctx.native_time, outer.time_window)
+        except ZeroDivisionError:  # a window from t = 0 above
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and lo < hi < math.inf
+                and math.isfinite(4.0 * outer.peak_radius_sq)):
+            raise ValueError(
+                f"{key} {n} gives the shell a time window or cross-section that floats cannot hold")
 
 
-def level_scale(lam: float, n: int, dim: int) -> float:
-    """The scale lambda^(2n/N) / 4 pi of the ball at ratio level lambda^(-n),
-    the outer ball of level shell n.  Raises OverflowError past the float
-    range."""
-    return lam ** (2.0 * n / dim) / (4.0 * np.pi)
+@dataclass(frozen=True)
+class DyadicShells(ShellFamily):
+    """Shell n between scales 2^(n-1) and 2^n, weight 2^(-n N / 2)."""
+
+    kind = "dyadic"
+    lam = None
+
+    def scale(self, n: int, N: int) -> float:
+        """Raises OverflowError past the float range."""
+        return 2.0**n
+
+    def weight(self, n: int, N: int) -> float:
+        return 2.0 ** (-0.5 * n * N)
+
+    def indices(self, N: int) -> range:
+        return range(2, 15)
+
+
+@dataclass(frozen=True)
+class LevelShells(ShellFamily):
+    """Shell n between kernel-ratio levels lambda^(-n+1) and lambda^(-n),
+    weight lambda^(-n), any lambda > 1."""
+
+    kind = "lambda"
+    lam: float
+
+    def __post_init__(self):
+        if not (self.lam is not None and self.lam > 1):
+            raise ValueError(f"lam must be > 1, got {self.lam}")
+
+    def scale(self, n: int, N: int) -> float:
+        """The scale lambda^(2n/N) / 4 pi of the ball at ratio level
+        lambda^(-n).  Raises OverflowError past the float range."""
+        return self.lam ** (2.0 * n / N) / (4.0 * np.pi)
+
+    def weight(self, n: int, N: int) -> float:
+        return self.lam ** (-n)
+
+    def indices(self, N: int) -> range:
+        """The shells spanning roughly the scales [4, 16384], extended past
+        the top to at least 8 terms for the classifier."""
+        n_lo = max(1, math.ceil(N * math.log(4.0 * math.pi * 4.0) / (2.0 * math.log(self.lam))))
+        n_hi = math.floor(N * math.log(4.0 * math.pi * 16384.0) / (2.0 * math.log(self.lam)))
+        n_hi = max(n_hi, n_lo + 7)
+        return range(n_lo, n_hi + 1)
 
 
 def dyadic_shell(ctx: PoleContext, n: int, time_center: float | None = None) -> HeatShell:
     """Shell at scale 2^n with inner scale 2^(n-1)."""
-    t0 = default_time_center(ctx) if time_center is None else float(time_center)
-    outer = HeatBall(ctx, t0, dyadic_scale(n))
-    inner = HeatBall(ctx, t0, dyadic_scale(n - 1))
-    return HeatShell(outer, inner, label=f"dyadic n={n}")
-
-
-def level_shell(
-    ctx: PoleContext, lam: float, n: int, time_center: float | None = None
-) -> HeatShell:
-    """Shell between ratio levels lambda^(-n+1) and lambda^(-n), lambda > 1."""
-    if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
-    t0 = default_time_center(ctx) if time_center is None else float(time_center)
-    outer = HeatBall(ctx, t0, level_scale(lam, n, ctx.dim))
-    inner = HeatBall(ctx, t0, level_scale(lam, n - 1, ctx.dim))
-    return HeatShell(outer, inner, label=f"lambda={lam} n={n}")
+    return DyadicShells().shell(ctx, n, time_center)
 
 
 def ball_radius(t_or_tau: float, ball: HeatBall) -> float:
@@ -350,11 +417,10 @@ def sphere_directions(dim: int, res: Resolution) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class NodeCloud:
-    """Cell-center nodes of a discretized compact set with cell volumes."""
+    """Cell-center nodes of a discretized compact set with cell extents."""
 
     xs: np.ndarray        # (M, N)
     ts: np.ndarray        # (M,)
-    volumes: np.ndarray   # (M,)
     cell_dts: np.ndarray  # (M,) temporal extent of each node's cell
     cell_drs: np.ndarray  # (M,) radial extent of each node's cell
     resolution: Resolution
@@ -375,7 +441,7 @@ class NodeCloud:
     @staticmethod
     def empty(ctx: PoleContext, resolution: Resolution, n_candidates: int = 0) -> "NodeCloud":
         z = np.zeros(0)
-        return NodeCloud(np.zeros((0, ctx.dim)), z, z, z, z, resolution, ctx, n_candidates)
+        return NodeCloud(np.zeros((0, ctx.dim)), z, z, z, resolution, ctx, n_candidates)
 
 
 @dataclass(frozen=True)
@@ -412,20 +478,20 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
 
     Cells live in (time, radial offset from the section axis, direction).
     A node is emitted at the center of every cell whose center passes the
-    membership predicate, so every emitted node satisfies contains().  Cell
-    volumes are exact cell measures; refinement halves all spacings.
+    membership predicate, so every emitted node satisfies contains().
+    Refinement halves all spacings.
     """
     if isinstance(resolution, int):
         resolution = Resolution(level=resolution)
     shell = compact.shell
     ctx = compact.ctx
     N = ctx.dim
-    dirs, wdir = sphere_directions(N, resolution)
+    dirs, _ = sphere_directions(N, resolution)
     ndir = dirs.shape[0]
     edges = _time_edges(shell, resolution.n_time)
     n_r = resolution.n_radial
 
-    xs_parts, ts_parts, vol_parts, dt_parts, dr_parts = [], [], [], [], []
+    xs_parts, ts_parts, dt_parts, dr_parts = [], [], [], []
     candidates = 0
     for k in range(resolution.n_time):
         t_lo, t_hi = float(edges[k]), float(edges[k + 1])
@@ -441,14 +507,11 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
             continue
         r_edges = np.linspace(r_in, r_out, n_r + 1)
         r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
-        # radial measure of each annular cell: (r_hi^N - r_lo^N) / N
-        r_meas = (r_edges[1:] ** N - r_edges[:-1] ** N) / N
         axis = ctx.axis([t_mid])[0]
 
         # candidate block: radial index varies slowest, then direction
         pts = axis[None, None, :] + r_mid[:, None, None] * dirs[None, :, :]
         pts = pts.reshape(-1, N)
-        vols = (r_meas[:, None] * wdir[None, :]).reshape(-1) * dt
         drs = np.repeat(np.diff(r_edges), ndir)
         tt = np.full(pts.shape[0], t_mid)
         candidates += pts.shape[0]
@@ -458,7 +521,6 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
             continue
         xs_parts.append(pts[keep])
         ts_parts.append(tt[keep])
-        vol_parts.append(vols[keep])
         dt_parts.append(np.full(int(np.sum(keep)), dt))
         dr_parts.append(drs[keep])
 
@@ -467,7 +529,6 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
     return NodeCloud(
         np.concatenate(xs_parts),
         np.concatenate(ts_parts),
-        np.concatenate(vol_parts),
         np.concatenate(dt_parts),
         np.concatenate(dr_parts),
         resolution,

@@ -5,10 +5,9 @@ function is removable exactly when the series
 
     sum_n  weight_n * capacity( complement  intersect  shell_n )
 
-diverges, and non-removable when it converges.  Dyadic shells use scale 2^n
-with weight 2^(-n N / 2); the general variant sandwiches the kernel ratio
-between lambda^(-n+1) and lambda^(-n) with weight lambda^(-n), any lambda
-above 1.  Larger n means shells marching toward the pole (time windows
+diverges, and non-removable when it converges.  The shells and weights come
+from a ShellFamily of `geometry`: dyadic shells, or level shells for any
+lambda above 1.  Larger n means shells marching toward the pole (time windows
 approach t = 0 above, and recede to -infinity below); the report prints each
 shell's time window so the orientation is auditable.
 
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import PROBE_SEED, DilationMemo, Refinement, capacity_of_region
-from .geometry import CompactSet, dyadic_shell, level_shell
+from .geometry import CompactSet, DyadicShells, ShellFamily
 from .kernel import PoleContext
 from .regions import Region
 
@@ -39,14 +38,7 @@ __all__ = [
     "SeriesReport",
     "classify",
     "series_terms",
-    "lambda_series_terms",
-    "auto_level_range",
 ]
-
-# shell indices of a dyadic series that is given none
-DYADIC_RANGE = range(2, 15)
-# the scale range and fewest terms of a lambda series that is given no indices
-LEVEL_C_MIN, LEVEL_C_MAX, LEVEL_MIN_COUNT = 4.0, 16384.0, 8
 
 
 class Verdict(Enum):
@@ -175,25 +167,33 @@ def classify(
     return verdict, conf, diag
 
 
-def _run_series(
+def series_terms(
     region: Optional[Region],
-    shells,
-    weights,
-    ns,
-    kind: str,
-    lam: Optional[float],
-    policy: ClassifyPolicy,
-    refinement: Refinement,
-    probe_seed: int,
+    ctx: PoleContext,
+    n_range: Optional[Sequence[int]] = None,
+    *,
+    family: ShellFamily = DyadicShells(),
+    refinement: Refinement = Refinement(),
+    policy: ClassifyPolicy = ClassifyPolicy(),
+    probe_seed: int = PROBE_SEED,
 ) -> SeriesReport:
-    """Solve each shell's capacity in the shell's own context and classify
-    the terms.  One DilationMemo serves the call, so a shell that dilates an
-    earlier one may reuse its solution once it passes on the new shell."""
+    """The family's series over its shells n_range (None: its own indices).
+
+    Each shell's capacity is solved in the shell's own context; ``region``
+    describes the complement set directly (None or a full region gives the
+    bare shells; an empty region zeroes every term).  Every shell draws its
+    probe cloud from ``probe_seed``.  One DilationMemo serves the call, so a
+    shell that dilates an earlier one may reuse its solution once it passes
+    on the new shell.
+    """
+    ns = family.indices(ctx.dim) if n_range is None else n_range
     memo = DilationMemo()
     out_terms: list[ShellTerm] = []
     sums: list[float] = []
     total = 0.0
-    for n, shell, weight in zip(ns, shells, weights):
+    for n in ns:
+        shell = family.shell(ctx, n)
+        weight = family.weight(n, ctx.dim)
         result = capacity_of_region(
             CompactSet(shell, region), refinement=refinement, probe_seed=probe_seed, memo=memo
         )
@@ -220,67 +220,12 @@ def _run_series(
         [t.term for t in out_terms], policy, [t.converged for t in out_terms]
     )
     return SeriesReport(
-        kind=kind,
-        lam=lam,
+        kind=family.kind,
+        lam=family.lam,
         terms=tuple(out_terms),
         partial_sums=tuple(sums),
         verdict=verdict,
         confidence=conf,
         diagnostics=diag,
         policy=policy,
-    )
-
-
-def series_terms(
-    region: Optional[Region],
-    ctx: PoleContext,
-    n_range: Sequence[int] = DYADIC_RANGE,
-    refinement: Refinement = Refinement(),
-    policy: ClassifyPolicy = ClassifyPolicy(),
-    time_center: float | None = None,
-    probe_seed: int = PROBE_SEED,
-) -> SeriesReport:
-    """Dyadic series: weight 2^(-n N / 2) against shell scales 2^n.
-
-    ``region`` describes the complement set directly (None or a full region
-    gives the bare shells; an empty region zeroes every term).  Every shell
-    draws its probe cloud from ``probe_seed``.
-    """
-    ns = list(n_range)
-    shells = [dyadic_shell(ctx, n, time_center) for n in ns]
-    weights = [2.0 ** (-0.5 * n * ctx.dim) for n in ns]
-    return _run_series(
-        region, shells, weights, ns, "dyadic", None, policy, refinement, probe_seed
-    )
-
-
-def auto_level_range(ctx: PoleContext, lam: float):
-    """Index range whose level shells span roughly the scales [LEVEL_C_MIN,
-    LEVEL_C_MAX], extended past the top so the classifier always has
-    LEVEL_MIN_COUNT terms."""
-    N = ctx.dim
-    n_lo = max(1, math.ceil(N * math.log(4.0 * math.pi * LEVEL_C_MIN) / (2.0 * math.log(lam))))
-    n_hi = math.floor(N * math.log(4.0 * math.pi * LEVEL_C_MAX) / (2.0 * math.log(lam)))
-    n_hi = max(n_hi, n_lo + LEVEL_MIN_COUNT - 1)
-    return range(n_lo, n_hi + 1)
-
-
-def lambda_series_terms(
-    region: Optional[Region],
-    ctx: PoleContext,
-    lam: float,
-    n_range: Optional[Sequence[int]] = None,
-    refinement: Refinement = Refinement(),
-    policy: ClassifyPolicy = ClassifyPolicy(),
-    time_center: float | None = None,
-    probe_seed: int = PROBE_SEED,
-) -> SeriesReport:
-    """General level-shell series with weight lambda^(-n), lambda > 1."""
-    if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
-    ns = list(n_range) if n_range is not None else list(auto_level_range(ctx, lam))
-    shells = [level_shell(ctx, lam, n, time_center) for n in ns]
-    weights = [lam ** (-n) for n in ns]
-    return _run_series(
-        region, shells, weights, ns, "lambda", lam, policy, refinement, probe_seed
     )

@@ -30,7 +30,7 @@ from parcap.regions import (
     Tube,
     Union,
 )
-from parcap.wiener import Verdict, lambda_series_terms, series_terms
+from parcap.wiener import Verdict, series_terms
 
 _cache: dict = {}
 
@@ -182,9 +182,8 @@ def test_criterion_3_geometry():
 
 def _subcloud(cloud: NodeCloud, mask) -> NodeCloud:
     return NodeCloud(
-        cloud.xs[mask], cloud.ts[mask], cloud.volumes[mask],
-        cloud.cell_dts[mask], cloud.cell_drs[mask], cloud.resolution, cloud.ctx,
-        cloud.n_candidates,
+        cloud.xs[mask], cloud.ts[mask], cloud.cell_dts[mask], cloud.cell_drs[mask],
+        cloud.resolution, cloud.ctx, cloud.n_candidates,
     )
 
 
@@ -303,7 +302,7 @@ def _series_results():
         out["dyadic"][name] = series_terms(region, lo, refinement=loose)
         out["dual"][name] = series_terms(AppellImage(region), up, refinement=loose)
         out["lambda"][name] = {
-            lam: lambda_series_terms(region, lo, lam, refinement=loose)
+            lam: series_terms(region, lo, family=pc.LevelShells(lam), refinement=loose)
             for lam in (1.5, 2.0, 4.0)
         }
     _cache["series"] = out

@@ -34,7 +34,6 @@ def subcloud(cloud: NodeCloud, mask) -> NodeCloud:
     return NodeCloud(
         cloud.xs[mask],
         cloud.ts[mask],
-        cloud.volumes[mask],
         cloud.cell_dts[mask],
         cloud.cell_drs[mask],
         cloud.resolution,

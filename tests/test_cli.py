@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import parcap.wiener as wiener
 from parcap.appell import IdentityResidual
 from parcap.averaging import QuadratureSpec
 from parcap.capacity import CapacityResult, DilationMemo, Refinement
-from parcap.geometry import Resolution
+from parcap.geometry import DyadicShells, LevelShells, Resolution
 from parcap.hbrownian import GridPolicy
 from parcap.kernel import lower_context
 from parcap.measures import DiscreteMeasure
@@ -525,17 +526,72 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
          "/parameters/n_min"),
         ("series./.parameters", {"region": {"kind": "empty"}, "kind": "lambda", "lam": 2,
                                  "n_min": 2, "n_max": 5000}, "/parameters/n_max"),
+        # a finite scale whose shell's native-time window or squared cross-section
+        # radii overflow: "<task>./" merges the value's top-level keys into the config
+        ("capacity.shell", {"kind": "dyadic", "n": 1023}, "/parameters/shell/n"),
+        ("capacity./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                        "parameters": {"shell": {"kind": "dyadic", "n": 1023}}},
+         "/parameters/shell/n"),
+        ("capacity./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                        "parameters": {"shell": {"kind": "dyadic", "n": 1022}}},
+         "/parameters/shell/n"),
+        ("capacity./", {"context": {"dim": 3, "gamma": [0.0, 0.0, 0.0], "half_space": "lower"},
+                        "parameters": {"shell": {"kind": "dyadic", "n": 1021}}},
+         "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "dyadic", "n": -60}, "/parameters/shell/n"),
+        ("series.n_max", 1023, "/parameters/n_max"),
+        ("series./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                      "parameters": {"region": {"kind": "empty"}, "n_min": 2, "n_max": 1022}},
+         "/parameters/n_max"),
+        ("series.n_min", -60, "/parameters/n_min"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
     task, _, key = key.rpartition(".")
     task, _, section = task.partition(".")
     cfg = json.loads(json.dumps(REPORT_KEYS_CASES[task or "series"][0]))
-    (cfg if section == "/" else cfg[section or "parameters"])[key] = value
+    if key == "/":
+        cfg.update(value)
+    else:
+        (cfg if section == "/" else cfg[section or "parameters"])[key] = value
     assert run(["run", write_config(tmp_path, cfg), "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert pointer in err
     assert "Traceback" not in err and "/run" not in err
+
+
+def _accepted(family, ctx, n):
+    try:
+        family.check(ctx, n)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("half_space, value_1000", [
+    ("upper", 3.544941777846156), ("lower", 1.112019029980878e+151)])
+def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys, half_space,
+                                                                value_1000):
+    """The largest dyadic n the check accepts runs at level 0 with no
+    RuntimeWarning, n + 1 is refused, and n = 1000 keeps its value."""
+    context = {"dim": 1, "gamma": [0.0], "half_space": half_space}
+    largest = max(n for n in range(900, 1100)
+                  if _accepted(DyadicShells(), cli.ContextConfig(**context).ctx, n))
+    values = {}
+    for n in (largest, 1000, largest + 1):
+        cfg = {"context": context, "task": "capacity",
+               "parameters": {"shell": {"kind": "dyadic", "n": n}, "levels": [0]}}
+        out = tmp_path / str(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = run(["run", write_config(tmp_path, cfg), "--out", out])
+        err = capsys.readouterr().err
+        if n > largest:
+            assert status == 1 and err.startswith("error /parameters/shell/n: ")
+        else:
+            assert status in (0, 2) and err == ""
+            values[n] = json.loads((out / "capacity_report.json").read_text())["value"]
+    assert values[1000] == value_1000
 
 
 def _json_slots(obj, path=""):
@@ -665,6 +721,7 @@ def test_the_largest_seed_runs(tmp_path):
     {"n_max": 1},
     {"n_min": 8, "n_max": 2},
     {"kind": "lambda", "lam": 2.0, "n_min": 8, "n_max": 2},
+    {"kind": "lambda", "lam": 2.0, "n_min": 20},
 ])
 def test_an_empty_shell_range_is_a_config_error(tmp_path, capsys, monkeypatch, params):
     """A series needs at least one shell, its range read after the defaults."""
@@ -678,13 +735,16 @@ def test_an_empty_shell_range_is_a_config_error(tmp_path, capsys, monkeypatch, p
 
 
 def test_a_lambda_series_given_one_end_picks_its_own_shells(tmp_path, monkeypatch):
+    """An end left out is the family's own, as for a dyadic series."""
     monkeypatch.setattr(wiener, "capacity_of_region", lambda *args, **kwargs: _fake_result())
-    cfg = {"context": _CTX_LO, "task": "series",
-           "parameters": {"region": {"kind": "empty"}, "kind": "lambda", "lam": 2.0, "n_min": 20}}
-    out = tmp_path / "s"
-    assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
-    terms = json.loads((out / "series_report.json").read_text())["terms"]
-    assert [t["n"] for t in terms] == list(wiener.auto_level_range(lower_context(1), 2.0))
+    for ends, ns in (({}, LevelShells(2.0).indices(1)), ({"n_min": 5}, range(5, 11)),
+                     ({"n_max": 9}, range(3, 10)), ({"n_min": 4, "n_max": 9}, range(4, 10))):
+        cfg = {"context": _CTX_LO, "task": "series",
+               "parameters": {"region": {"kind": "empty"}, "kind": "lambda", "lam": 2.0, **ends}}
+        out = tmp_path / f"s{len(ends)}{ns.start}"
+        assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+        terms = json.loads((out / "series_report.json").read_text())["terms"]
+        assert [t["n"] for t in terms] == list(ns)
 
 
 def test_readme_lists_the_keys_each_task_declares():
@@ -806,12 +866,12 @@ def test_settings_left_out_take_the_library_defaults(tmp_path, monkeypatch):
         reports[stem] = json.loads((out / f"{stem}_report.json").read_text())
 
     default = Refinement()
-    assert refinements == [default] * (1 + len(wiener.DYADIC_RANGE))
+    assert refinements == [default] * (1 + len(DyadicShells().indices(1)))
     for stem in ("capacity", "series"):
         assert reports[stem]["tolerance"] == default.tol
         assert reports[stem]["rel_stall"] == default.rel_stall
     assert reports["series"]["refinement_levels"] == list(default.levels)
-    assert [t["n"] for t in reports["series"]["terms"]] == list(wiener.DYADIC_RANGE)
+    assert [t["n"] for t in reports["series"]["terms"]] == list(DyadicShells().indices(1))
     assert reports["mean_value"]["tolerance"] == QuadratureSpec().tol
     assert reports["simulate"]["grid"]["ratio"] == grid.ratio
     assert reports["simulate"]["grid"]["n_times"] == len(grid.times(lower_context(1)))

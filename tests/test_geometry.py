@@ -246,6 +246,56 @@ def test_lower_radius_maximum():
         assert rmax == pytest.approx(np.sqrt(2 * 3 * c / np.e), rel=1e-10)
         taus = np.linspace(-0.25 - c + 1e-9, -0.25 - 1e-9, 400)
         assert float(np.max(ball.radius(taus))) <= rmax + 1e-10
+        assert ball.peak_radius_sq == pytest.approx(rmax**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("t0", [0.01, 1.0, 50.0])
+@pytest.mark.parametrize("c", [1e-3, 0.4, 5.0, 2.0**200])
+def test_upper_peak_radius_bounds_the_radius(t0, c):
+    """Above, peak_radius_sq bounds every squared radius of the window, and
+    is near the largest one found on a fine grid of the window."""
+    ball = pc.HeatBall(pc.upper_context(2), t0, c)
+    lo, hi = ball.time_window
+    # uniform in u = t/t0 and in native time, which crowds the lower end
+    ts = np.concatenate([np.linspace(lo, hi, 20001)[1:-1],
+                         -0.25 / np.linspace(-0.25 / lo, -0.25 / hi, 20001)[1:-1]])
+    largest = float(np.max(ball.radius_sq(ts)))
+    assert largest <= ball.peak_radius_sq <= largest + 2 * 2 * t0 * (0.25 + 1 / np.e)
+
+
+_LEVEL_INDICES = {  # N = 1, 2, 3
+    1.5: (range(5, 16), range(10, 31), range(15, 46)),
+    2.0: (range(3, 11), range(6, 18), range(9, 27)),
+    4.0: (range(2, 10), range(3, 11), range(5, 14)),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_shell_families_keep_their_closed_forms(N):
+    """Each family's scale, weight and default indices, bit for bit."""
+    dyadic = pc.DyadicShells()
+    assert dyadic.indices(N) == range(2, 15)
+    for n in range(-40, 60):
+        assert dyadic.scale(n, N) == 2.0**n
+        assert dyadic.weight(n, N) == 2.0 ** (-0.5 * n * N)
+    for lam, indices in _LEVEL_INDICES.items():
+        family = pc.LevelShells(lam)
+        assert family.indices(N) == indices[N - 1]
+        for n in range(-40, 60):
+            assert family.scale(n, N) == lam ** (2.0 * n / N) / (4.0 * np.pi)
+            assert family.weight(n, N) == lam ** (-n)
+
+
+def test_a_family_shell_sits_between_its_scales():
+    lo = pc.lower_context(2)
+    for family in (pc.DyadicShells(), pc.LevelShells(1.5)):
+        shell = family.shell(lo, 3, time_center=-2.0)
+        assert shell.outer.scale == family.scale(3, 2) and shell.inner.scale == family.scale(2, 2)
+        assert shell.outer.time_center == shell.inner.time_center == -2.0
+    assert pc.dyadic_shell(lo, 3) == pc.DyadicShells().shell(lo, 3)
+    for lam in (1.0, 0.5, None):
+        with pytest.raises(ValueError, match="^lam must be > 1"):
+            pc.LevelShells(lam)
 
 
 def test_ball_membership_ratio_vs_closed_form():
@@ -311,7 +361,7 @@ def test_shell_two_sided_condition():
 def test_level_shell_matches_ratio_levels():
     up = pc.upper_context(2, [0.1, 0.0])
     lam, n = 1.5, 4
-    shell = pc.level_shell(up, lam, n)
+    shell = pc.LevelShells(lam).shell(up, n)
     level_in, level_out = shell.levels
     assert level_in == pytest.approx(lam ** (-n + 1), rel=1e-12)
     assert level_out == pytest.approx(lam ** (-n), rel=1e-12)
@@ -395,7 +445,7 @@ def test_discretize_empty_and_filter():
     cloud = discretize(compact, Resolution(level=1))
     assert len(cloud) > 0
     assert compact.contains(cloud.xs, cloud.ts).all()
-    assert np.all(cloud.volumes > 0)
+    assert np.all(cloud.cell_dts * cloud.cell_drs > 0)
 
 
 def test_discretize_growth_and_determinism():
@@ -412,15 +462,16 @@ def test_discretize_growth_and_determinism():
     a = discretize(compact, Resolution(level=1))
     b = discretize(compact, Resolution(level=1))
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ts, b.ts)
-    assert np.array_equal(a.volumes, b.volumes)
+    assert np.array_equal(a.cell_dts * a.cell_drs, b.cell_dts * b.cell_drs)
 
 
 def test_discretize_volume_sanity():
-    # total cell volume of a full ball approximates its true volume
+    # the cells of a full ball tile it; in 1-D a node's cell, on one side of
+    # the axis, has measure dt * dr
     lo = pc.lower_context(1)
     ball = pc.HeatBall(lo, -0.25, 1.0)
     compact = CompactSet(ball, None)
     cloud = discretize(compact, Resolution(level=2))
     taus = np.linspace(*ball.time_window, 4001)[1:-1]
     true_vol = float(np.trapezoid(2.0 * ball.radius(taus), taus))
-    assert float(np.sum(cloud.volumes)) == pytest.approx(true_vol, rel=0.02)
+    assert float(np.sum(cloud.cell_dts * cloud.cell_drs)) == pytest.approx(true_vol, rel=0.02)

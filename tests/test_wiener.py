@@ -13,7 +13,7 @@ from parcap.capacity import (
     potential_batch,
 )
 from parcap.geometry import CompactSet, Resolution, discretize, dyadic_shell
-from parcap.wiener import ClassifyPolicy, Verdict, auto_level_range, classify
+from parcap.wiener import ClassifyPolicy, Verdict, classify
 from parcap.regions import (
     EmptyRegion,
     FullRegion,
@@ -100,15 +100,16 @@ def test_lambda_series_agrees_with_dyadic_verdict():
     lo = pc.lower_context(1)
     tube = Tube(PowerProfile(1.5, 0.5))
     d = pc.series_terms(tube, lo, **FAST)
-    l2 = pc.lambda_series_terms(tube, lo, 2.0, n_range=range(3, 11), refinement=FAST["refinement"])
+    l2 = pc.series_terms(tube, lo, range(3, 11), family=pc.LevelShells(2.0),
+                         refinement=FAST["refinement"])
     assert d.verdict == l2.verdict == Verdict.REMOVABLE
 
 
 def test_lambda_validation_and_auto_range():
     lo = pc.lower_context(1)
     with pytest.raises(ValueError):
-        pc.lambda_series_terms(EmptyRegion(), lo, 1.0)
-    rng = auto_level_range(lo, 4.0)
+        pc.series_terms(EmptyRegion(), lo, family=pc.LevelShells(1.0))
+    rng = pc.LevelShells(4.0).indices(lo.dim)
     assert len(list(rng)) >= 8
 
 
