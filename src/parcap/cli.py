@@ -93,8 +93,8 @@ class Shell:
     HeatShell or HeatBall at a time centre, shell `n` of its `family`
     unless it overrides both methods."""
 
-    def check_context(self, ctx):
-        self.family.check(ctx, self.n)
+    def check_context(self, ctx, t0=None):
+        self.family.check(ctx, self.n, time_center=t0)
 
     def build(self, ctx, t0):
         return self.family.shell(ctx, self.n, t0)
@@ -125,8 +125,9 @@ class BallShell(Shell):
     def __post_init__(self):
         _above("scale", self.scale, 0)
 
-    def check_context(self, ctx):
-        pass
+    def check_context(self, ctx, t0=None):
+        t0 = default_time_center(ctx) if t0 is None else t0
+        self.build(ctx, t0).check(f"scale {self.scale}")
 
     def build(self, ctx, t0):
         return HeatBall(ctx, t0, self.scale)
@@ -149,6 +150,14 @@ class CapacitySettings(_Centred):
     shell: Shell
     region: Optional[Region] = None
     time_center: Optional[float] = None
+
+    def check_context(self, ctx):
+        super().check_context(ctx)
+        if self.time_center is not None:  # the shell passed at the default centre
+            try:
+                self.shell.check_context(ctx, self.time_center)
+            except ValueError as exc:
+                raise ValueError(f"time_center {self.time_center}: {exc}") from None
 
 
 # the shell family of each series kind, given the series' lam
@@ -382,13 +391,12 @@ def _run_series(ctx, seed, out, emit, task: SeriesSettings, refinement: Refineme
 
 def _run_simulate(ctx, seed, out, emit, task: SimulateSettings):
     grid = task.grid_policy
-    times = grid.times(ctx)
     ens = simulate(point(task.start.x, task.start.t), grid, task.n_paths, ctx, seed)
     est = cluster_probability(ens, task.region, task.deltas) if task.deltas else None
     report = _audit(ctx, seed, {
         "task": "simulate",
         "n_paths": task.n_paths,
-        "grid": {**to_jsonable(grid), "n_times": int(times.shape[0])},
+        "grid": {**to_jsonable(grid), "n_times": int(ens.times.shape[0])},
         "estimate": est,
     })
     _emit(out, emit, "simulate", report, None, ens.to_csv)

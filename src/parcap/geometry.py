@@ -131,6 +131,20 @@ class HeatBall:
             return 2.0 * n * t0 * (math.log(max(4.0 * t0 * c, 1.0)) / 4.0 + 1.0 / math.e)
         return 2.0 * n * c / math.e
 
+    def check(self, lead: str) -> None:
+        """Refuse the ball, with a ValueError led by lead, unless its
+        native-time window is finite with lo < hi and four times its peak
+        squared radius (a bound on the squared distances within a cross
+        section) is finite."""
+        try:
+            lo, hi = map(self.ctx.native_time, self.time_window)
+        except ZeroDivisionError:  # a window from t = 0 above
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and lo < hi < math.inf
+                and math.isfinite(4.0 * self.peak_radius_sq)):
+            raise ValueError(
+                f"{lead} gives the shell a time window or cross-section that floats cannot hold")
+
     def contains(self, xs, ts) -> np.ndarray:
         """Open-ball membership from the closed-form inequality."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -217,27 +231,18 @@ class ShellFamily:
         inner = HeatBall(ctx, t0, self.scale(n - 1, ctx.dim))
         return HeatShell(outer, inner, label=f"{self.kind} n={n}")
 
-    def check(self, ctx: PoleContext, n: int, key: str = "n") -> None:
-        """Refuse shell n, at the default time center, with a ValueError led
-        by key unless its scales are floats with 0 < inner < outer < inf, its
-        native-time window is finite with lo < hi, and four times its peak
-        squared radius (a bound on the squared distances within a cross
-        section) is finite."""
+    def check(self, ctx: PoleContext, n: int, key: str = "n",
+              time_center: float | None = None) -> None:
+        """Refuse shell n at time_center (the default one if None), with a
+        ValueError led by key, unless its scales are floats with
+        0 < inner < outer < inf and its outer ball passes HeatBall.check."""
         try:
             ok = 0.0 < self.scale(n - 1, ctx.dim) < self.scale(n, ctx.dim) < math.inf
         except OverflowError:
             ok = False
         if not ok:
             raise ValueError(f"{key} {n} puts the shell's scale outside the float range")
-        outer = self.shell(ctx, n).outer
-        try:
-            lo, hi = map(ctx.native_time, outer.time_window)
-        except ZeroDivisionError:  # a window from t = 0 above
-            lo = hi = math.nan
-        if not (math.isfinite(lo) and lo < hi < math.inf
-                and math.isfinite(4.0 * outer.peak_radius_sq)):
-            raise ValueError(
-                f"{key} {n} gives the shell a time window or cross-section that floats cannot hold")
+        self.shell(ctx, n, time_center).outer.check(f"{key} {n}")
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ Randomness is counter-based: each grid step draws from its own keyed stream
 (seed, step), normals via inverse transform, so ensembles are reproducible
 bit for bit under any execution schedule and stable under path-count growth.
 
-Ensembles are stored time-major, one contiguous (n_paths, N) block per grid
-time, so a transition reads one block and writes the next; `paths` is the
-(n_paths, K, N) view of that storage.  Clustering walks the same blocks one
-time at a time and keeps one integer per path, the deepest grid index at
-which the path was in the region, so its memory beyond the path array is
-O(n_paths).
+An ensemble is a description, not an array: its context, start, grid, path
+count and seed.  `blocks()` runs the transitions afresh and yields one
+(n_paths, N) block of positions per grid time, keeping only the current one
+alive, and the keyed streams make every run of it the same bit for bit.
+Clustering walks those blocks and keeps one integer per path, the deepest
+grid index at which the path was in the region, so it needs O(n_paths)
+memory per grid time.  Only `paths`, the (n_paths, K, N) array that the CSV
+writer reads, holds the whole ensemble; it is built at its first use, from
+the same blocks, and kept.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,15 +90,32 @@ class GridPolicy:
 
 @dataclass(frozen=True)
 class PathEnsemble:
+    """n_paths exact paths from start over the grid times, keyed by seed."""
+
     ctx: PoleContext
     start: SpaceTimePoint
-    times: np.ndarray            # strictly decreasing
-    paths: np.ndarray            # (n_paths, len(times), N), a view of (K, n_paths, N)
+    times: np.ndarray            # strictly decreasing, times[0] == start.t
+    n_paths: int
     seed: int
 
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The (n_paths, N) positions at each grid time in turn; step k draws
+        its normals from the stream (seed, k)."""
+        xs = np.full((self.n_paths, self.ctx.dim), self.start.x)
+        yield xs
+        for k in range(self.times.shape[0] - 1):
+            xs, std = transition_parameters(
+                self.ctx, xs, float(self.times[k]), float(self.times[k + 1]))
+            xs += std * step_normals(self.seed, k, self.n_paths, self.ctx.dim)
+            yield xs
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        """All positions, (n_paths, K, N): a view of time-major storage."""
+        steps = np.empty((self.times.shape[0], self.n_paths, self.ctx.dim))
+        for k, xs in enumerate(self.blocks()):
+            steps[k] = xs
+        return steps.transpose(1, 0, 2)
 
     def to_csv(self, path) -> None:
         """One row per (path, time): path index, t, coordinates."""
@@ -158,20 +179,17 @@ def simulate(
     ctx: PoleContext,
     seed: int,
 ) -> PathEnsemble:
-    """Exact-in-law ensemble over the grid times, reproducible from the seed."""
+    """Exact-in-law ensemble over the grid times, reproducible from the seed.
+    Nothing is sampled here: the ensemble runs its paths when read."""
     if start.dim != ctx.dim:
         raise DomainError(f"start dim {start.dim} vs context dim {ctx.dim}")
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     ctx.require(start.t)
     times = grid.times(ctx)
     if abs(times[0] - start.t) > 1e-12 * max(1.0, abs(start.t)):
         raise ValueError("grid must start at the start point's time")
-    K = times.shape[0]
-    steps = np.zeros((K, n_paths, ctx.dim))
-    steps[0] = start.x
-    for k in range(K - 1):
-        mean, std = transition_parameters(ctx, steps[k], float(times[k]), float(times[k + 1]))
-        steps[k + 1] = mean + std * step_normals(seed, k, n_paths, ctx.dim)
-    return PathEnsemble(ctx, start, times, steps.transpose(1, 0, 2), seed)
+    return PathEnsemble(ctx, start, times, n_paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +265,8 @@ def cluster_probability(
 
     deepest = np.full(n_paths, -1)
     if region is not None:
-        for k, t in enumerate(times):
-            hit = region.contains(ensemble.paths[:, k, :], np.full(n_paths, t), ctx)
+        for k, (t, xs) in enumerate(zip(times, ensemble.blocks())):
+            hit = region.contains(xs, np.full(n_paths, t), ctx)
             deepest[hit] = k
 
     freqs, lo, hi = [], [], []

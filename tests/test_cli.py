@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from parcap.appell import IdentityResidual
 from parcap.averaging import QuadratureSpec
 from parcap.capacity import CapacityResult, DilationMemo, Refinement
 from parcap.geometry import DyadicShells, LevelShells, Resolution
-from parcap.hbrownian import GridPolicy
-from parcap.kernel import lower_context
+from parcap.hbrownian import GridPolicy, simulate
+from parcap.kernel import lower_context, point
 from parcap.measures import DiscreteMeasure
 from parcap.reporting import config_keys
 from parcap.cli import main
@@ -179,6 +180,50 @@ def test_simulate_task_with_estimate(tmp_path):
     assert report["estimate"]["verdict"] == "p_one"
     header = (out / "simulate_paths.csv").read_text().splitlines()[0]
     assert header == "path,t,x1"
+
+
+def test_a_json_simulate_run_builds_no_path_array(tmp_path):
+    """--emit json streams the paths: a whole run's traced peak stays under
+    one byte per (path, grid time), an eighth of the path array."""
+    tube = {"kind": "tube", "profile": {"kind": "power", "coef": 1.5, "exponent": 0.5}}
+    n_paths = 20_000
+    cfg = write_config(tmp_path, {
+        "context": {"dim": 1, "gamma": [0.0], "half_space": "lower"},
+        "task": "simulate",
+        "seed": 7,
+        "parameters": {"start": {"x": [0.0], "t": -1.0}, "grid": {"t_end": -3000.0, "ratio": 0.9},
+                       "n_paths": n_paths, "region": tube,
+                       "deltas": [-30.0, -100.0, -300.0, -1000.0]},
+    })
+    # a first run loads scipy.special and fills the parser's caches
+    status = run(["run", cfg, "--emit", "json", "--out", tmp_path / "warm"])
+    tracemalloc.start()
+    try:
+        assert run(["run", cfg, "--emit", "json", "--out", tmp_path / "o"]) == status
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    report = json.loads((tmp_path / "o" / "simulate_report.json").read_text())
+    K = report["grid"]["n_times"]
+    assert K == 77 and report["estimate"]["n_paths"] == n_paths
+    assert peak < n_paths * K
+
+
+def test_emit_both_adds_the_path_major_paths_to_the_same_report(tmp_path):
+    cfg = REPORT_KEYS_CASES["simulate"][0]
+    path = write_config(tmp_path, cfg)
+    for emit in ("json", "both"):
+        assert run(["run", path, "--emit", emit, "--out", tmp_path / emit]) == 0
+    report = (tmp_path / "both" / "simulate_report.json").read_bytes()
+    assert report == (tmp_path / "json" / "simulate_report.json").read_bytes()
+    # the paths that test_simulate_matches_path_major_loop holds to a reference
+    p = cfg["parameters"]
+    grid = GridPolicy(p["start"]["t"], p["grid"]["t_end"], p["grid"]["ratio"])
+    ens = simulate(point(p["start"]["x"], p["start"]["t"]), grid, p["n_paths"],
+                   lower_context(1), cfg["seed"])
+    rows = ["path,t,x1"] + [f"{i},{float(t)!r},{float(ens.paths[i, k, 0])!r}"
+                            for i in range(ens.n_paths) for k, t in enumerate(ens.times)]
+    assert (tmp_path / "both" / "simulate_paths.csv").read_text().splitlines() == rows
 
 
 def test_mean_value_task(tmp_path):
@@ -544,6 +589,17 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
                       "parameters": {"region": {"kind": "empty"}, "n_min": 2, "n_max": 1022}},
          "/parameters/n_max"),
         ("series.n_min", -60, "/parameters/n_min"),
+        # a time centre that gives an accepted shell a degenerate window
+        ("capacity./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                        "parameters": {"shell": {"kind": "dyadic", "n": 0},
+                                       "time_center": 5e-324}},
+         "/parameters/time_center"),
+        ("capacity.time_center", -1e300, "/parameters/time_center"),
+        ("capacity./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                        "parameters": {"shell": {"kind": "ball", "scale": 1.0},
+                                       "time_center": 5e-324}},
+         "/parameters/time_center"),
+        ("capacity.shell", {"kind": "ball", "scale": 1e308}, "/parameters/shell/scale"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):

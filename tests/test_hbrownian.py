@@ -247,6 +247,23 @@ def test_ensemble_csv_export(tmp_path):
     assert len(lines) == 1 + 3 * len(ens.times)
 
 
+def test_simulate_refuses_a_negative_path_count():
+    lo = pc.lower_context(1)
+    with pytest.raises(ValueError, match="^n_paths"):
+        simulate(pc.point([0.0], -1.0), GridPolicy(-1.0, -50.0), -1, lo, seed=1)
+
+
+def test_blocks_rerun_the_ensemble_one_grid_time_at_a_time():
+    up = pc.upper_context(2, [0.4, -0.2])
+    ens = simulate(pc.point([1.0, 0.5], 1.0), GridPolicy(1.0, 1e-3, ratio=0.7), 300, up, seed=4)
+    first = list(ens.blocks())
+    assert "paths" not in vars(ens)
+    assert len(first) == ens.times.shape[0]
+    assert all(xs.shape == (300, 2) for xs in first)
+    assert np.array_equal(np.stack(first, axis=1), ens.paths)
+    assert all(np.array_equal(a, b) for a, b in zip(first, ens.blocks()))
+
+
 def test_simulate_matches_path_major_loop():
     # the transition applied to one (n_paths, K, N) array, step by step
     for ctx, start, grid in [
@@ -364,4 +381,26 @@ def test_cluster_probability_memory_is_o_n_paths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < n_paths * K
+
+
+def test_clustering_a_fresh_ensemble_never_builds_the_path_array():
+    # simulating and clustering together stay under one byte per (path, time),
+    # an eighth of the path array, which is never built
+    import tracemalloc
+
+    lo = pc.lower_context(1)
+    grid = GridPolicy(-1.0, -3000.0, ratio=0.9)
+    n_paths, K = 20_000, grid.times(lo).shape[0]
+    assert K == 77
+    tube = Tube(PowerProfile(1.5, 0.5))
+    step_normals(5, 0, 1, 1)  # scipy.special loads at the first step
+    tracemalloc.start()
+    try:
+        ens = simulate(pc.point([0.0], -1.0), grid, n_paths, lo, seed=5)
+        cluster_probability(ens, tube, [-30.0, -100.0, -300.0, -1000.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "paths" not in vars(ens)
     assert peak < n_paths * K
