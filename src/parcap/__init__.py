@@ -29,7 +29,6 @@ from .kernel import (
 from .measures import DiscreteMeasure
 from .appell import (
     AppellDirection,
-    BoundaryTag,
     appell_map,
     appell_transform,
     push_measure,
@@ -64,7 +63,6 @@ from .geometry import (
     ball_radius,
     discretize,
     dyadic_shell,
-    harnack_region,
     LevelShells,
     ShellFamily,
 )
@@ -95,7 +93,6 @@ from .hbrownian import (
     simulate,
     step_normals,
     transition_parameters,
-    transition_sample,
     wilson_interval,
 )
 from .averaging import (

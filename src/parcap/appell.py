@@ -6,9 +6,7 @@ transform on scalar fields multiplies by a Gaussian factor going forward and
 by the fundamental solution coming back, and maps caloric functions to
 caloric functions.  Everything here is exact transport: transformed fields
 are composed lazily, never resampled, so identity tests see only rounding.
-
-The two boundary objects (the finite pole and the point at infinity) are kept
-symbolic: mapping a point with t == 0 raises instead of producing fake large
+Mapping a point with t == 0 raises instead of producing fake large
 coordinates.
 """
 
@@ -33,7 +31,6 @@ from .measures import DiscreteMeasure
 
 __all__ = [
     "AppellDirection",
-    "BoundaryTag",
     "appell_map",
     "appell_map_arrays",
     "appell_transform",
@@ -48,39 +45,19 @@ class AppellDirection(Enum):
     BACKWARD = "backward"  # lower (t < 0)  ->  upper (t > 0)
 
 
-class BoundaryTag(Enum):
-    """The two distinguished boundary objects, kept symbolic.
-
-    They carry no coordinates; the point map exchanges them and any numeric
-    use raises.
-    """
-
-    POLE = "pole"          # the finite boundary point (gamma, 0)
-    INFINITY = "infinity"  # the ideal point of the lower half-space
-
-
 def appell_map_arrays(xs: np.ndarray, ts: np.ndarray, direction: AppellDirection):
     """Vectorized point map; forward is (x/2t, -1/4t), backward (-x/2t, -1/4t)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.asarray(ts, dtype=float).reshape(-1)
     if np.any(ts == 0.0):
-        raise DomainError("t == 0 maps to a symbolic boundary point, not coordinates")
+        raise DomainError("t == 0 maps to the pole or to infinity, not to coordinates")
     sign = 1.0 if direction is AppellDirection.FORWARD else -1.0
     return sign * xs / (2.0 * ts[:, None]), -1.0 / (4.0 * ts)
 
 
-def appell_map(z, direction: AppellDirection):
-    """Map a point across half-spaces; boundary tags map to each other.
-
-    Interior points with t == 0 are neither: they raise, since the images
-    would not be coordinates.
-    """
-    if isinstance(z, BoundaryTag):
-        if z is BoundaryTag.POLE and direction is AppellDirection.FORWARD:
-            return BoundaryTag.INFINITY
-        if z is BoundaryTag.INFINITY and direction is AppellDirection.BACKWARD:
-            return BoundaryTag.POLE
-        raise DomainError(f"{z.value} does not lie on the {direction.value} source side")
+def appell_map(z: SpaceTimePoint, direction: AppellDirection) -> SpaceTimePoint:
+    """Map a point across half-spaces; a point with t == 0 raises, since its
+    image would not be coordinates."""
     xs, ts = appell_map_arrays(z.x[None, :], np.array([z.t]), direction)
     return point(xs[0], ts[0])
 

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import CompactSet, NodeCloud, Resolution, discretize
-from .kernel import KERNEL_BLOCK, PoleContext, SpaceTimePoint, kernel_ratio_matrix, log_pole_weight
+from .kernel import KERNEL_BLOCK, PoleContext, SpaceTimePoint, kernel_ratio_matrix
 from .measures import DiscreteMeasure
 
 __all__ = [
@@ -146,16 +146,9 @@ def potential_batch(
     return out
 
 
-def potential(
-    mu: DiscreteMeasure, z: SpaceTimePoint, ctx: PoleContext, normalized: bool = True
-) -> float:
-    """Potential at a point; normalized=False multiplies back by the pole
-    weight, giving the plain heat potential of mu / weight_star."""
-    val = float(potential_batch(mu, z.x[None, :], np.array([z.t]), ctx)[0])
-    if normalized:
-        return val
-    w = float(np.exp(log_pole_weight(z.x[None, :], np.array([z.t]), ctx)[0]))
-    return w * val
+def potential(mu: DiscreteMeasure, z: SpaceTimePoint, ctx: PoleContext) -> float:
+    """Potential at a point."""
+    return float(potential_batch(mu, z.x[None, :], np.array([z.t]), ctx)[0])
 
 
 @dataclass(frozen=True)

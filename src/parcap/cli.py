@@ -10,6 +10,8 @@ same config and seed reproduces every output byte for byte.
 
 `reporting.parse_fields` reads a config into `RunConfig`, and its parameters
 into the settings classes `_TASKS` lists for its task, before any compute.
+The task's runner returns its report body, CSV table and exit status, and
+`run_config` adds the audit fields and writes the files `--emit` selects.
 """
 
 from __future__ import annotations
@@ -295,18 +297,18 @@ class AppellCheckSettings:
 _CSV_FILE = {"capacity": "capacity_measure.csv", "simulate": "simulate_paths.csv"}
 
 
-def _emit(out, emit, stem, report, header, rows):
+def _emit(out, emit, stem, report, table):
     """Write `<stem>_report.json` and the CSV table, as --emit selects: the
-    rows under header, or, with header None, what the function rows writes
-    to the path it is given."""
+    table is (header, rows), or a function that writes it to the path it is
+    given."""
     if emit in ("json", "both"):
         dump_json(out / f"{stem}_report.json", report)
     if emit in ("csv", "both"):
         path = out / _CSV_FILE.get(stem, f"{stem}_table.csv")
-        if header is None:
-            rows(path)
+        if callable(table):
+            table(path)
         else:
-            dump_csv(path, header, rows)
+            dump_csv(path, *table)
 
 
 def _named_field(kind, ctx):
@@ -333,84 +335,66 @@ def _named_field(kind, ctx):
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# task runners: each takes (ctx, seed, *settings) and returns its report
+# body, its CSV table (see _emit) and its exit status
 # ---------------------------------------------------------------------------
 
-def _audit(ctx, seed, extra):
-    return {
-        "tool_version": __version__,
-        "criterion": CRITERION_TEXT,
-        "context": ctx,
-        "seed": seed,
-        **extra,
-    }
-
-
-def _run_capacity(ctx, seed, out, emit, task: CapacitySettings, refinement: Refinement):
+def _run_capacity(ctx, seed, task: CapacitySettings, refinement: Refinement):
     shell = task.shell.build(ctx, task.t0(ctx))
     result = capacity_of_region(CompactSet(shell, task.region), refinement=refinement,
                                 probe_seed=seed)
     # the result's fields, serialized with the rest of the report by dump_json
     body = {f.name: getattr(result, f.name) for f in fields(result)}
     mu = body.pop("capacitary")
-    report = _audit(ctx, seed, {
-        "task": "capacity",
-        **body,
+    body.update({
         "tolerance": refinement.tol,
         "rel_stall": refinement.rel_stall,
         "resolution": result.resolution.describe(),
         "shell_time_window": shell.time_window,
         "measure": {"nodes_x": mu.xs, "nodes_t": mu.ts, "masses": mu.masses},
     })
-    _emit(out, emit, "capacity", report,
-          [f"x{i+1}" for i in range(ctx.dim)] + ["t", "mass"],
-          np.column_stack([mu.xs, mu.ts, mu.masses]))
+    table = ([f"x{i+1}" for i in range(ctx.dim)] + ["t", "mass"],
+             np.column_stack([mu.xs, mu.ts, mu.masses]))
     # a measure that fails its own feasibility certificate is no capacity
-    return 0 if result.certified(refinement.tol) else 2
+    return body, table, 0 if result.certified(refinement.tol) else 2
 
 
-def _run_series(ctx, seed, out, emit, task: SeriesSettings, refinement: Refinement):
+def _run_series(ctx, seed, task: SeriesSettings, refinement: Refinement):
     report_obj = series_terms(task.region, ctx, task.n_range(ctx), family=task.family,
                               refinement=refinement, policy=task.policy, probe_seed=seed)
 
     body = to_jsonable(report_obj)
     body["lambda"] = body.pop("lam")
-    report = _audit(ctx, seed, {
-        "task": "series",
-        **body,
+    body.update({
         "tolerance": refinement.tol,
         "rel_stall": refinement.rel_stall,
         "refinement_levels": refinement.levels,
     })
-    _emit(out, emit, "series", report, ["n", "capacity", "term", "partial_sum"], [
-        [t.n, t.capacity, t.term, s]
-        for t, s in zip(report_obj.terms, report_obj.partial_sums)
-    ])
-    return 2 if report_obj.verdict is Verdict.INCONCLUSIVE else 0
+    table = (["n", "capacity", "term", "partial_sum"],
+             [[t.n, t.capacity, t.term, s]
+              for t, s in zip(report_obj.terms, report_obj.partial_sums)])
+    return body, table, 2 if report_obj.verdict is Verdict.INCONCLUSIVE else 0
 
 
-def _run_simulate(ctx, seed, out, emit, task: SimulateSettings):
+def _run_simulate(ctx, seed, task: SimulateSettings):
     grid = task.grid_policy
     ens = simulate(point(task.start.x, task.start.t), grid, task.n_paths, ctx, seed)
     est = cluster_probability(ens, task.region, task.deltas) if task.deltas else None
-    report = _audit(ctx, seed, {
-        "task": "simulate",
+    body = {
         "n_paths": task.n_paths,
         "grid": {**to_jsonable(grid), "n_times": int(ens.times.shape[0])},
         "estimate": est,
-    })
-    _emit(out, emit, "simulate", report, None, ens.to_csv)
-    return 2 if est is not None and est.verdict.value == "indeterminate" else 0
+    }
+    return body, ens.to_csv, 2 if est is not None and est.verdict.value == "indeterminate" else 0
 
 
-def _run_mean_value(ctx, seed, out, emit, task: MeanValueSettings, quad: QuadratureSpec):
+def _run_mean_value(ctx, seed, task: MeanValueSettings, quad: QuadratureSpec):
     u, center_val = _named_field(task.u.kind, ctx)
     t0, c = task.t0(ctx), task.c
     ball = HeatBall(ctx, t0, c)
     got = mean_value(u, ball.center, c, ctx, quad=quad)
     expected = center_val(t0)
-    report = _audit(ctx, seed, {
-        "task": "mean-value",
+    body = {
         "c": c,
         "tolerance": quad.tol,
         "time_center": t0,
@@ -418,13 +402,12 @@ def _run_mean_value(ctx, seed, out, emit, task: MeanValueSettings, quad: Quadrat
         "value": got,
         "center_value": expected,
         "abs_error": abs(got - expected),
-    })
+    }
     header = ["c", "value", "center_value", "abs_error"]
-    _emit(out, emit, "mean_value", report, header, [[report[k] for k in header]])
-    return 0
+    return body, (header, [[body[k] for k in header]]), 0
 
 
-def _run_harnack(ctx, seed, out, emit, task: HarnackSettings):
+def _run_harnack(ctx, seed, task: HarnackSettings):
     t0 = task.t0(ctx)
     if task.u.kind == "one":
         u = lambda xs, ts: 1.0
@@ -442,18 +425,16 @@ def _run_harnack(ctx, seed, out, emit, task: HarnackSettings):
     for c in task.c_values:
         res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx)
         results.append({"c": c, **to_jsonable(res)})
-    report = _audit(ctx, seed, {
-        "task": "harnack",
+    body = {
         "time_center": t0,
         "results": results,
         "max_ratio": max(r["ratio"] for r in results),
-    })
+    }
     header = ["c", "average", "infimum", "ratio"]
-    _emit(out, emit, "harnack", report, header, [[r[k] for k in header] for r in results])
-    return 0
+    return body, (header, [[r[k] for k in header] for r in results]), 0
 
 
-def _run_appell_check(ctx, seed, out, emit, task: AppellCheckSettings):
+def _run_appell_check(ctx, seed, task: AppellCheckSettings):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     N = ctx.dim
     checks = []
@@ -513,20 +494,19 @@ def _run_appell_check(ctx, seed, out, emit, task: AppellCheckSettings):
     })
 
     ok = all(c["residual"] <= c["threshold"] for c in checks) and halving_ratio >= HALVING_MIN
-    report = _audit(ctx, seed, {
-        "task": "appell-check",
+    body = {
         "n_points": task.n_points,
         "step": task.step,
         "checks": checks,
         "all_passed": ok,
-    })
-    _emit(out, emit, "appell_check", report, ["check", "residual", "threshold"],
-          [[c["name"], c["residual"], c["threshold"]] for c in checks])
-    return 0 if ok else 1
+    }
+    table = (["check", "residual", "threshold"],
+             [[c["name"], c["residual"], c["threshold"]] for c in checks])
+    return body, table, 0 if ok else 1
 
 
 # each task's runner, and the settings classes that read its parameters and
-# are passed to it after (ctx, seed, out, emit)
+# are passed to it after (ctx, seed)
 _TASKS = {
     "capacity": (_run_capacity, (CapacitySettings, Refinement)),
     "series": (_run_series, (SeriesSettings, Refinement)),
@@ -583,7 +563,12 @@ def run_config(config_path, emit="both", seed_override=None, out_dir=".") -> int
             return 1
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _TASKS[run.task][0](run.context.ctx, run.seed, out, emit, *settings)
+        ctx = run.context.ctx
+        body, table, status = _TASKS[run.task][0](ctx, run.seed, *settings)
+        report = {"tool_version": __version__, "criterion": CRITERION_TEXT, "context": ctx,
+                  "seed": run.seed, "task": run.task, **body}
+        _emit(out, emit, run.task.replace("-", "_"), report, table)
+        return status
     except Exception as exc:  # surface compute failures as exit 1, not tracebacks
         print(f"error /run: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -29,13 +29,14 @@ A ``CompactSet`` takes its context from its shell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .kernel import DomainError, PoleContext, SpaceTimePoint, point
-from .regions import Region, TimeSlab, Intersection
+from .regions import Region
 
 __all__ = [
     "HeatBall",
@@ -45,7 +46,6 @@ __all__ = [
     "LevelShells",
     "dyadic_shell",
     "ball_radius",
-    "harnack_region",
     "HeatBallRegion",
     "Resolution",
     "NodeCloud",
@@ -135,13 +135,21 @@ class HeatBall:
         """Refuse the ball, with a ValueError led by lead, unless its
         native-time window is finite with lo < hi and four times its peak
         squared radius (a bound on the squared distances within a cross
-        section) is finite."""
+        section) is finite.  Above, also refuse it unless 4 t_lo^2, for t_lo
+        the window's lower end, is a normal float (it bounds the 4 t tau the
+        kernel's gap divides by) and 4 t0^2 c (which bounds the 4 t t0 c of
+        the radius) is finite."""
         try:
             lo, hi = map(self.ctx.native_time, self.time_window)
         except ZeroDivisionError:  # a window from t = 0 above
             lo = hi = math.nan
-        if not (math.isfinite(lo) and lo < hi < math.inf
-                and math.isfinite(4.0 * self.peak_radius_sq)):
+        ok = (math.isfinite(lo) and lo < hi < math.inf
+              and math.isfinite(4.0 * self.peak_radius_sq))
+        if self.ctx.is_upper:
+            t_lo, t0 = self.time_window[0], self.time_center
+            ok = (ok and 4.0 * t_lo * t_lo >= sys.float_info.min
+                  and math.isfinite(4.0 * t0 * t0 * self.scale))
+        if not ok:
             raise ValueError(
                 f"{lead} gives the shell a time window or cross-section that floats cannot hold")
 
@@ -175,7 +183,6 @@ class HeatShell:
 
     outer: HeatBall
     inner: HeatBall
-    label: str = "shell"
 
     def __post_init__(self):
         if self.inner.scale >= self.outer.scale:
@@ -216,7 +223,7 @@ class HeatShell:
         return bool(self.contains(w.x[None, :], np.array([w.t]))[0])
 
     def appell_image(self) -> "HeatShell":
-        return HeatShell(self.outer.appell_image(), self.inner.appell_image(), self.label)
+        return HeatShell(self.outer.appell_image(), self.inner.appell_image())
 
 
 class ShellFamily:
@@ -229,7 +236,7 @@ class ShellFamily:
         t0 = default_time_center(ctx) if time_center is None else float(time_center)
         outer = HeatBall(ctx, t0, self.scale(n, ctx.dim))
         inner = HeatBall(ctx, t0, self.scale(n - 1, ctx.dim))
-        return HeatShell(outer, inner, label=f"{self.kind} n={n}")
+        return HeatShell(outer, inner)
 
     def check(self, ctx: PoleContext, n: int, key: str = "n",
               time_center: float | None = None) -> None:
@@ -335,18 +342,6 @@ class HeatBallRegion(Region):
         return self._ball(ctx).contains(xs, ts)
 
 
-def harnack_region(time_center: float, c: float, ctx: PoleContext) -> Region:
-    """Heat ball truncated above its lower portion, where the two-sided
-    estimate holds: above, cuts below t0/(1 + 3 t0 c); below, cuts below
-    tau0 - 3c/4."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    trunc = ctx.native_time(ctx.native_time(time_center) - 0.75 * c)
-    return Intersection(
-        [HeatBallRegion(time_center, c), TimeSlab(trunc, time_center)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
@@ -384,9 +379,6 @@ class Resolution:
     @property
     def n_polar(self) -> int:
         return self.base_polar * 2**self.level
-
-    def refined(self) -> "Resolution":
-        return replace(self, level=self.level + 1)
 
     def describe(self) -> dict:
         return {
@@ -508,7 +500,7 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         else:
             r_in, r_out = 0.0, float(shell.radius(np.array([t_mid]))[0])
         width = r_out - r_in
-        if r_out <= 0.0 or width <= 1e-12 * max(1.0, r_out):
+        if r_out <= 0.0 or width <= 1e-12 * r_out:
             continue
         r_edges = np.linspace(r_in, r_out, n_r + 1)
         r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])

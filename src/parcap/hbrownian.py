@@ -48,7 +48,6 @@ __all__ = [
     "ClusterEstimate",
     "step_normals",
     "transition_parameters",
-    "transition_sample",
     "simulate",
     "cluster_probability",
     "wilson_interval",
@@ -162,14 +161,6 @@ def transition_parameters(
     else:
         var = 2.0 * (t - next_t)
     return mean, float(np.sqrt(var))
-
-
-def transition_sample(
-    current: SpaceTimePoint, next_t: float, ctx: PoleContext, rng: np.random.Generator
-) -> np.ndarray:
-    """One exact transition draw from a caller-supplied generator."""
-    mean, std = transition_parameters(ctx, current.x[None, :], current.t, next_t)
-    return mean[0] + std * rng.standard_normal(ctx.dim)
 
 
 def simulate(

@@ -305,7 +305,11 @@ def kernel_ratio_matrix(
     digits between nearby rows.  Measuring offsets from the axis keeps the
     squared distance free of the large |gamma|^2 |t| terms that cancel.
 
-    Entries with t_z - t_w <= eps are exactly zero.
+    Entries whose gap (dt below, dt / (4 t tau) above) is <= TIME_EPS are
+    exactly zero.  The cut reads the gap the closed form uses: above, the
+    times of dyadic shell n reach down to about 2^-(n+2), where the
+    differences dt between its nodes fall under TIME_EPS and their gaps do
+    not.
 
     The output is the only full-size allocation.  It is filled over blocks
     of about KERNEL_BLOCK entries, and in each block of rows only the column
@@ -340,10 +344,10 @@ def kernel_ratio_matrix(
         if p == 0:
             continue
         dt = zt[rows, None] - wt[None, :p]
-        pos = dt > TIME_EPS
         gap = dt
         if ctx.is_upper:
             gap = dt / (4.0 * zt[rows, None] * wt[None, :p])
+        pos = gap > TIME_EPS
         # |uz - uw|^2 expanded to avoid forming an (rows, p, N) array, then
         # the log ratio, then its exp, in place.  The cross term is summed
         # coordinate by coordinate rather than by a BLAS product, whose

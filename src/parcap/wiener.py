@@ -105,10 +105,6 @@ class SeriesReport:
         "shell index n increases toward the pole; each term lists its time window"
     )
 
-    @property
-    def term_values(self) -> list[float]:
-        return [t.term for t in self.terms]
-
 
 def classify(
     terms: Sequence[float],

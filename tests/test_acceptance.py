@@ -319,7 +319,7 @@ def test_criterion_5_wiener_series():
 
     # certified per-term lower bound for the full complement
     full = results["dyadic"]["full"]
-    terms = full.term_values
+    terms = [t.term for t in full.terms]
     low_bound = min(terms)
     assert low_bound > 0.0
     assert low_bound >= 0.5 * max(terms)

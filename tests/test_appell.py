@@ -25,17 +25,6 @@ def test_point_map_halfspace_exchange_and_pole():
         pc.appell_map(pc.point([1.0], 0.0), D.FORWARD)
 
 
-def test_boundary_objects_stay_symbolic():
-    from parcap.appell import BoundaryTag
-
-    assert pc.appell_map(BoundaryTag.POLE, D.FORWARD) is BoundaryTag.INFINITY
-    assert pc.appell_map(BoundaryTag.INFINITY, D.BACKWARD) is BoundaryTag.POLE
-    with pytest.raises(DomainError):
-        pc.appell_map(BoundaryTag.INFINITY, D.FORWARD)
-    with pytest.raises(DomainError):
-        pc.appell_map(BoundaryTag.POLE, D.BACKWARD)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.floats(-5, 5), min_size=1, max_size=3),

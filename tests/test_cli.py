@@ -600,6 +600,11 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
                                        "time_center": 5e-324}},
          "/parameters/time_center"),
         ("capacity.shell", {"kind": "ball", "scale": 1e308}, "/parameters/shell/scale"),
+        # a far time centre whose 4 t0^2 c overflows the upper radius
+        ("capacity./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                        "parameters": {"shell": {"kind": "dyadic", "n": 0},
+                                       "time_center": 1e300}},
+         "/parameters/time_center"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -624,17 +629,11 @@ def _accepted(family, ctx, n):
     return True
 
 
-@pytest.mark.parametrize("half_space, value_1000", [
-    ("upper", 3.544941777846156), ("lower", 1.112019029980878e+151)])
-def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys, half_space,
-                                                                value_1000):
-    """The largest dyadic n the check accepts runs at level 0 with no
-    RuntimeWarning, n + 1 is refused, and n = 1000 keeps its value."""
-    context = {"dim": 1, "gamma": [0.0], "half_space": half_space}
-    largest = max(n for n in range(900, 1100)
-                  if _accepted(DyadicShells(), cli.ContextConfig(**context).ctx, n))
+def _run_largest(tmp_path, capsys, context, ns, largest):
+    """Run dyadic shells ns at level 0 with RuntimeWarning as an error: n
+    above largest exits 1 at its pointer, the rest give their values."""
     values = {}
-    for n in (largest, 1000, largest + 1):
+    for n in ns:
         cfg = {"context": context, "task": "capacity",
                "parameters": {"shell": {"kind": "dyadic", "n": n}, "levels": [0]}}
         out = tmp_path / str(n)
@@ -647,7 +646,32 @@ def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys
         else:
             assert status in (0, 2) and err == ""
             values[n] = json.loads((out / "capacity_report.json").read_text())["value"]
+    return values
+
+
+@pytest.mark.parametrize("half_space, value_1000", [("lower", 1.112019029980878e+151)])
+def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys, half_space,
+                                                                value_1000):
+    """The largest dyadic n the check accepts runs at level 0 with no
+    RuntimeWarning, n + 1 is refused, and n = 1000 keeps its value."""
+    context = {"dim": 1, "gamma": [0.0], "half_space": half_space}
+    largest = max(n for n in range(900, 1100)
+                  if _accepted(DyadicShells(), cli.ContextConfig(**context).ctx, n))
+    values = _run_largest(tmp_path, capsys, context, (largest, 1000, largest + 1), largest)
     assert values[1000] == value_1000
+
+
+def test_the_largest_accepted_upper_shell_index_holds_the_dilation_law(tmp_path, capsys):
+    """Above, the check refuses a shell once 4 lo^2 of its window's lower end
+    lo ~ 2^-(n+2) leaves the normal floats, which is about n = 510.  The
+    largest accepted n runs with no RuntimeWarning and keeps value / 2^(n/2)
+    of test_deep_upper_shells_keep_the_dilation_law; n + 1 is refused."""
+    context = {"dim": 1, "gamma": [0.0], "half_space": "upper"}
+    largest = max(n for n in range(400, 600)
+                  if _accepted(DyadicShells(), cli.ContextConfig(**context).ctx, n))
+    values = _run_largest(tmp_path, capsys, context, (40, largest, largest + 1), largest)
+    assert values[largest] / 2.0 ** (largest / 2) == pytest.approx(
+        values[40] / 2.0**20, rel=1e-4)
 
 
 def _json_slots(obj, path=""):

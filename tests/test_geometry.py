@@ -395,7 +395,9 @@ def test_shell_maps_onto_matching_shell_across_halfspaces():
 
 def test_harnack_region_geometry():
     up = pc.upper_context(1)
-    q = pc.harnack_region(1.0, 0.8, up)
+    # the ball cut below the native time 3c/4 under its centre
+    q = Intersection([pc.HeatBallRegion(1.0, 0.8),
+                      TimeSlab(up.native_time(up.native_time(1.0) - 0.75 * 0.8), 1.0)])
     ball = pc.HeatBall(up, 1.0, 0.8)
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(600, 1))
@@ -419,7 +421,10 @@ def test_time_slabs_must_reach_into_their_half_space():
         with pytest.raises(ValueError, match="outside the half-space"):
             outside.check_context(ctx)
         # the truncating slab of a Harnack region lies inside its half-space
-        region_from_json(pc.harnack_region(0.5 if ctx.is_upper else -0.5, 2.0, ctx).to_json(), ctx)
+        t0 = 0.5 if ctx.is_upper else -0.5
+        harnack = Intersection([pc.HeatBallRegion(t0, 2.0),
+                                TimeSlab(ctx.native_time(ctx.native_time(t0) - 1.5), t0)])
+        region_from_json(harnack.to_json(), ctx)
 
 
 # ---------------------------------------------------------------------------

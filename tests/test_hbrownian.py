@@ -11,7 +11,6 @@ from parcap.hbrownian import (
     simulate,
     step_normals,
     transition_parameters,
-    transition_sample,
     wilson_interval,
 )
 from parcap.kernel import DomainError
@@ -126,14 +125,6 @@ def test_transition_parameters_closed_forms():
     assert std == pytest.approx(np.sqrt(2 * 1.5))
     with pytest.raises(DomainError):
         transition_parameters(up, x, 0.5, 0.5)
-
-
-def test_transition_sample_uses_generator():
-    up = pc.upper_context(3, [0.0, 0.0, 0.0])
-    z = pc.point([1.0, 2.0, 3.0], 1.0)
-    a = transition_sample(z, 0.5, up, np.random.Generator(np.random.Philox(key=np.uint64(5))))
-    b = transition_sample(z, 0.5, up, np.random.Generator(np.random.Philox(key=np.uint64(5))))
-    assert np.array_equal(a, b)
 
 
 def test_simulate_empty_and_deterministic():

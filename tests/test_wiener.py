@@ -81,7 +81,7 @@ def test_series_full_complement_is_removable_with_positive_terms():
     lo = pc.lower_context(1)
     rep = pc.series_terms(FullRegion(), lo, **FAST)
     assert rep.verdict is Verdict.REMOVABLE and rep.confidence == "high"
-    terms = rep.term_values
+    terms = [t.term for t in rep.terms]
     assert min(terms) > 0.0
     assert min(terms) >= 0.5 * max(terms)
     sums = np.asarray(rep.partial_sums)
