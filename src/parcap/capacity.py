@@ -18,14 +18,20 @@ over row blocks and never computes its non-causal entries, which are exact
 zeros, and each column's peak row is found by a scan over row blocks of it.
 
 The solver is free as long as the certificates hold.  Here the LP goes to
-HiGHS by row generation: only a few percent of the collocation rows bind, so
-HiGHS sees a working set of rows that starts at each column's peak row and
-grows by every row whose potential exceeds 1, until none does.  Each solve
-keeps one HiGHS model: a round adds only its new rows to it, and the dual
-simplex re-solves from the last basis instead of from scratch.  The result
-carries the feasibility maximum, the complementary slackness residual and
-the duality gap, all computed over every collocation row, not only the
-working set.
+HiGHS by row and column generation.  Only a few percent of the collocation
+rows bind, so HiGHS sees a working set of rows that starts at each column's
+peak row and grows by every row whose potential exceeds 1.  The capacitary
+measure lives on the boundary of the set (Watson 2012), so HiGHS also sees
+a working set of columns that starts at the node cloud's boundary cells.
+Once no row exceeds 1, every other column is priced by its reduced cost, and
+the ones that would raise the value join.  The loop ends when neither rows
+nor columns join; the reduced costs then certify the optimum of the whole
+program (delayed column generation, Gilmore & Gomory, Oper. Res. 9, 1961).
+Each solve keeps one HiGHS model: a round adds only its new rows or columns
+to it, and the simplex re-solves from the last basis instead of from
+scratch.  The result carries the feasibility maximum, the complementary
+slackness residual and the duality gap, all computed over every collocation
+row and every column, not only the working sets.
 
 A series solves shells that are dilations of each other: in the lower
 half-space each dyadic shell is the parabolic dilation (x, t) -> (sqrt(2) x,
@@ -34,7 +40,7 @@ and row duals by c^(N/2) at scale c.  A ``DilationMemo`` keeps, per
 resolution, the last solved shell of one series call in its shell's scaled
 frame.  When a new shell's scaled node cloud matches the kept one within
 1e-12, with as many collocation rows, the kept masses and duals are scaled up
-to it and kept only if they pass row generation's own test on the new
+to it and kept only if they pass the generation loop's own test on the new
 shell's collocation: potential <= 1 + ROW_EXCESS on every row, and reduced
 cost A^T y - 1 >= -ROW_EXCESS on every column, so the pair is primal and
 dual feasible with the gap of the solve it came from.  Otherwise the shell is
@@ -263,11 +269,11 @@ ROW_EXCESS = 1e-9
 SCIPY_FLOOR = "1.17"
 
 
-def _highs_model(c):
-    """A HiGHS model over the columns x >= 0 with cost c and no rows, with
-    presolve and output off.  scipy's binding is imported here, at the first
-    LP: the import costs more than a whole mean-value task, which solves
-    none, and only a kept model re-solves from its last basis."""
+def _highs_model():
+    """An empty HiGHS model, with presolve and output off.  scipy's binding
+    is imported here, at the first LP: the import costs more than a whole
+    mean-value task, which solves none, and only a kept model re-solves from
+    its last basis."""
     try:
         from scipy.optimize._highspy._core import _Highs
     except ImportError as exc:
@@ -279,15 +285,23 @@ def _highs_model(c):
     model = _Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("presolve", "off")
-    n = c.shape[0]
-    model.addCols(n, c, np.zeros(n), np.full(n, np.inf), 0,
-                  np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
     return model
 
 
+def _add_columns(model, c, entries):
+    """Add the columns x >= 0 with cost c to model; column j of entries
+    holds the values of new column j on the model's rows, in their order."""
+    cols, rows = np.nonzero(entries.T)
+    n = c.shape[0]
+    starts = np.searchsorted(cols, np.arange(n)).astype(np.int32)
+    model.addCols(n, c, np.zeros(n), np.full(n, np.inf), rows.size, starts,
+                  rows.astype(np.int32), entries[rows, cols])
+
+
 def linprog(model, *, A_ub):
-    """Add the rows A_ub @ x <= 1 to model and re-solve it from its last
-    basis.  Returns x (None unless optimal), this run's simplex iterations
+    """Add the rows A_ub @ x <= 1, over the model's columns, to model and
+    re-solve it from its last basis; A_ub may have no rows.  Returns x over
+    the model's columns (None unless optimal), this run's simplex iterations
     as nit, success and the model status as message."""
     m = A_ub.shape[0]
     rows, cols = np.nonzero(A_ub)
@@ -305,45 +319,70 @@ def linprog(model, *, A_ub):
     )
 
 
-def _solve_by_rows(A, c, start, inv):
-    """Minimize c @ x over x >= 0 with A @ x <= 1 by row generation.
+def _solve_by_generation(A, c, start_rows, start_cols, inv):
+    """Minimize c @ x over x >= 0 with A @ x <= 1, for c < 0, by row and
+    column generation.
 
-    One HiGHS model sees only a working set of rows, which starts at the
-    rows in start and grows by every row whose potential A @ x exceeds
-    1 + ROW_EXCESS.  Each round adds just those rows to the model, and its
-    dual simplex re-solves from the last basis.  Each round adds a row or
-    ends the loop, and the last restricted optimum is feasible on every row,
-    so it is the optimum of the whole program.
+    One HiGHS model sees only a working set of rows and one of columns,
+    which start at start_rows and start_cols.  A round adds to the model
+    every row whose potential A @ x, summed over the support columns,
+    exceeds 1 + ROW_EXCESS.  Once no row does, every column off the model is
+    priced by its reduced cost in units of its cost, (A^T y) / -c - 1 over
+    the rows with a positive dual y, and the ones below -ROW_EXCESS are added
+    with their entries on the model's rows.  Each round re-solves from the
+    last basis.  A round adds a row or a column or ends the loop, and the
+    last restricted optimum is feasible on every row and prices out every
+    column, so it is the optimum of the whole program.
 
-    Returns x, the row duals (zero off the working set), A @ x on every row
-    and the solver facts.  Raises SolverFailure when a round fails; its best
-    value is the last x, scaled onto every row, in the units of inv."""
-    model = _highs_model(c)
+    Returns x over every column, the row duals (zero off the working set),
+    A @ x on every row, the solver facts and the model's rows and columns,
+    each in the order they joined.  Raises SolverFailure when a round fails;
+    its best value is the last x, scaled onto every row, in the units of
+    inv."""
+    model = _highs_model()
+    cols = np.asarray(start_cols, dtype=np.intp)
+    _add_columns(model, c[cols], np.zeros((0, cols.size)))
     working = np.zeros(A.shape[0], dtype=bool)
     new = working.copy()
-    new[start] = True
-    added = []
-    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0}
-    x = np.zeros(A.shape[1])
-    while np.any(new):
+    new[start_rows] = True
+    order = np.zeros(0, dtype=np.intp)  # the model's rows, in its order
+    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_columns": 0, "lp_iterations": 0}
+    x = np.zeros(cols.size)
+    while True:
         rows = np.flatnonzero(new)
-        res = linprog(model, A_ub=A[rows])
-        added.append(rows)
+        res = linprog(model, A_ub=A[np.ix_(rows, cols)])
+        order = np.concatenate([order, rows])
         working |= new
         facts["lp_rounds"] += 1
-        facts["lp_rows"] += int(rows.shape[0])
         facts["lp_iterations"] += int(res.nit)
         if res.x is not None:
             x = np.maximum(res.x, 0.0)
-        pots = A @ x
+        on = x > 0.0
+        pots = A[:, cols[on]] @ x[on]
         if not res.success:
-            best = float(np.sum(x * inv)) / max(1.0, float(np.max(pots)))
+            best = float(np.sum(x * inv[cols])) / max(1.0, float(np.max(pots)))
             raise SolverFailure(f"LP failed: {res.message}", best)
         new = ~working & (pots > 1.0 + ROW_EXCESS)
-    # the model holds its rows in the order they were added
+        if np.any(new):
+            continue
+        y = -np.asarray(model.getSolution().row_dual)
+        pos = y > 0.0
+        red = (y[pos] @ A[order[pos]]) / -c - 1.0
+        # HiGHS prices the model's own columns, to its own tolerance
+        red[cols] = 0.0
+        join = np.flatnonzero(red < -ROW_EXCESS)
+        if not join.size:
+            break
+        _add_columns(model, c[join], A[np.ix_(order, join)])
+        cols = np.concatenate([cols, join])
+        x = np.concatenate([x, np.zeros(join.size)])
+    facts["lp_rows"] = int(order.size)
+    facts["lp_columns"] = int(cols.size)
+    x_all = np.zeros(A.shape[1])
+    x_all[cols] = x
     duals = np.zeros(A.shape[0])
-    duals[np.concatenate(added)] = -np.asarray(model.getSolution().row_dual)
-    return x, duals, pots, facts
+    duals[order] = y
+    return x_all, duals, pots, facts, (order, cols)
 
 
 def capacity(
@@ -356,7 +395,7 @@ def capacity(
     """Solve the packing program for one node cloud, in its set's context.
 
     With memo, the frame of a ``DilationMemo`` at this cloud's shell, a
-    proposal the memo makes is kept if it passes row generation's test on
+    proposal the memo makes is kept if it passes the generation loop's test on
     this collocation, and the solution is given back to the memo.
 
     Raises SolverFailure when the LP does not reach optimality; the exception
@@ -418,8 +457,8 @@ def capacity(
 
 def _solve(cloud: NodeCloud, coll: Collocation):
     """Masses, row duals, the potential on every row and each column's reduced
-    cost A^T y - 1 (zero on dead columns) by row generation over the dense
-    kernel matrix, with the solver facts."""
+    cost A^T y - 1 (zero on dead columns) by row and column generation over
+    the dense kernel matrix, with the solver facts."""
     A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
 
     peak, col_max = _column_peaks(A)
@@ -437,9 +476,13 @@ def _solve(cloud: NodeCloud, coll: Collocation):
     # invariant under positive objective scaling and masses unwind exactly
     inv = 1.0 / cm
     c_scale = float(np.max(inv))
+    # the columns start on the cloud's boundary, where the measure lives;
     # every live column's peak row caps its variable at 1, so each restricted
     # program is bounded; scaled_m holds masses in units of the column scales
-    scaled_m, duals, pots, lp_facts = _solve_by_rows(A, -(inv / c_scale), peak[alive], inv)
+    boundary = np.ones(len(cloud), dtype=bool) if cloud.boundary is None else cloud.boundary
+    start = np.flatnonzero(boundary[alive])
+    scaled_m, duals, pots, lp_facts, _ = _solve_by_generation(
+        A, -(inv / c_scale), peak[alive], start, inv)
     masses = np.zeros(len(cloud))
     masses[alive] = scaled_m * inv
     y = np.maximum(duals * c_scale, 0.0)
@@ -487,7 +530,8 @@ def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):
     pots = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs[on], cloud.ts[on], cloud.ctx) @ masses[on]
     if not np.max(pots) <= 1.0 + ROW_EXCESS:
         return None
-    return masses, y, pots, red, {"lp_rounds": 0, "lp_rows": 0, "lp_iterations": 0}
+    return masses, y, pots, red, {"lp_rounds": 0, "lp_rows": 0, "lp_columns": 0,
+                                  "lp_iterations": 0}
 
 
 # scaled node clouds closer than this are taken for the same shell

@@ -22,7 +22,9 @@ tau itself below, -1/(4t) above, which is the image of a uniform grid under
 the half-space exchange map and is what keeps large shells resolvable near
 the pole), radial cells per slice across the shell band, and a direction grid
 on the sphere.  Emitted nodes are cell centers that pass the membership
-predicate, ordered lexicographically in (time cell, radial cell, direction).
+predicate, ordered lexicographically in (time cell, radial cell, direction);
+each also records whether its cell borders one that is not kept, the
+cloud's boundary, where a capacitary measure lives.
 A ``CompactSet`` takes its context from its shell.
 """
 
@@ -412,6 +414,22 @@ def sphere_directions(dim: int, res: Resolution) -> tuple[np.ndarray, np.ndarray
     raise NotImplementedError("direction grids implemented for N <= 3")
 
 
+def _direction_neighbours(res: Resolution, dim: int) -> np.ndarray:
+    """Each direction's neighbours on the grid of sphere_directions, shape
+    (D, k): none in 1-D, 2 on the circle, 4 on the sphere, where a polar
+    neighbour past the first or last ring is the direction itself."""
+    if dim == 1:
+        return np.zeros((2, 0), dtype=np.intp)
+    if dim == 2:
+        idx = np.arange(res.n_angular)
+        return np.stack([(idx - 1) % idx.size, (idx + 1) % idx.size], axis=1)
+    nu, nphi = res.n_polar, res.n_angular
+    iu, ip = np.divmod(np.arange(nu * nphi), nphi)
+    return np.stack([iu * nphi + (ip - 1) % nphi, iu * nphi + (ip + 1) % nphi,
+                     np.maximum(iu - 1, 0) * nphi + ip,
+                     np.minimum(iu + 1, nu - 1) * nphi + ip], axis=1)
+
+
 @dataclass(frozen=True)
 class NodeCloud:
     """Cell-center nodes of a discretized compact set with cell extents."""
@@ -423,6 +441,9 @@ class NodeCloud:
     resolution: Resolution
     ctx: PoleContext      # the context of the set the nodes discretize
     n_candidates: int = 0  # cells examined, including rejected ones
+    # (M,) bool: the node's cell borders one that is not kept (see
+    # discretize); None stands for every node, as in a cloud built by hand
+    boundary: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.ts.shape[0]
@@ -477,6 +498,14 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
     A node is emitted at the center of every cell whose center passes the
     membership predicate, so every emitted node satisfies contains().
     Refinement halves all spacings.
+
+    A node is on the cloud's boundary when a neighbouring cell is not kept:
+    the same cell one slice earlier (so the first emitted slice is all
+    boundary), a radial neighbour, or a direction neighbour.  The cells past
+    either end of a slice's radial grid count as not kept: past the outer end
+    lies the outer ball's complement, before the inner end the inner ball,
+    or, in a slice without a hole, the axis, whose far side the rule does
+    not look across.
     """
     if isinstance(resolution, int):
         resolution = Resolution(level=resolution)
@@ -485,11 +514,14 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
     N = ctx.dim
     dirs, _ = sphere_directions(N, resolution)
     ndir = dirs.shape[0]
+    nbrs = _direction_neighbours(resolution, N)
     edges = _time_edges(shell, resolution.n_time)
     n_r = resolution.n_radial
 
-    xs_parts, ts_parts, dt_parts, dr_parts = [], [], [], []
+    xs_parts, ts_parts, dt_parts, dr_parts, bd_parts = [], [], [], [], []
     candidates = 0
+    # the previous slice's kept cells, by (radial cell, direction)
+    prev = np.zeros((n_r, ndir), dtype=bool)
     for k in range(resolution.n_time):
         t_lo, t_hi = float(edges[k]), float(edges[k + 1])
         t_mid = 0.5 * (t_lo + t_hi)
@@ -501,6 +533,7 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
             r_in, r_out = 0.0, float(shell.radius(np.array([t_mid]))[0])
         width = r_out - r_in
         if r_out <= 0.0 or width <= 1e-12 * r_out:
+            prev = np.zeros((n_r, ndir), dtype=bool)
             continue
         r_edges = np.linspace(r_in, r_out, n_r + 1)
         r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
@@ -514,12 +547,19 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         candidates += pts.shape[0]
 
         keep = compact.contains(pts, tt)
+        block = keep.reshape(n_r, ndir)
+        interior = prev & np.roll(block, 1, axis=0) & np.roll(block, -1, axis=0)
+        interior[[0, -1]] = False
+        for col in nbrs.T:
+            interior &= block[:, col]
+        prev = block
         if not np.any(keep):
             continue
         xs_parts.append(pts[keep])
         ts_parts.append(tt[keep])
         dt_parts.append(np.full(int(np.sum(keep)), dt))
         dr_parts.append(drs[keep])
+        bd_parts.append(~interior.reshape(-1)[keep])
 
     if not xs_parts:
         return NodeCloud.empty(ctx, resolution, candidates)
@@ -531,4 +571,5 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         resolution,
         ctx,
         candidates,
+        np.concatenate(bd_parts),
     )

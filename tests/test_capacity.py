@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import parcap as pc
 from parcap.capacity import (
+    ROW_EXCESS,
     SCIPY_FLOOR,
     Refinement,
     _column_peaks,
@@ -419,18 +421,19 @@ def _full_matrix_optimum(cloud, coll):
     return float(np.sum(ref.x)), K
 
 
-def _cold_iterations(K, rounds):
-    """Dual simplex iterations of solving each round's working set from
-    scratch, with the solve's scaled cost and without presolve."""
+def _cold_iterations(K, working_sets):
+    """Dual simplex iterations of solving each round's working set, given as
+    (rows, columns) of K, from scratch, with the solve's scaled cost and
+    without presolve."""
     from scipy.optimize import linprog
 
+    Ks = K / K.max(axis=0)
     inv = 1.0 / K.max(axis=0)
     c = -(inv / np.max(inv))
     total = 0
-    for k in range(1, len(rounds) + 1):
-        rows = np.concatenate(rounds[:k])
-        cold = linprog(c, A_ub=rows, b_ub=np.ones(rows.shape[0]), bounds=(0.0, None),
-                       method="highs-ds", options={"presolve": False})
+    for rows, cols in working_sets:
+        cold = linprog(c[cols], A_ub=Ks[np.ix_(rows, cols)], b_ub=np.ones(rows.size),
+                       bounds=(0.0, None), method="highs-ds", options={"presolve": False})
         assert cold.success
         total += cold.nit
     return total
@@ -447,14 +450,20 @@ def _cold_iterations(K, rounds):
 )
 def test_row_generation_matches_the_full_matrix_program(monkeypatch, ctx, region, resolution):
     cap_module = sys.modules[capacity.__module__]
-    solve = cap_module.linprog
-    rounds = []
+    solve, generate = cap_module.linprog, cap_module._solve_by_generation
+    rounds, working = [], []
 
     def recording_linprog(model, *, A_ub):
         rounds.append(np.array(A_ub))
         return solve(model, A_ub=A_ub)
 
+    def recording_generation(*args):
+        out = generate(*args)
+        working.append(out)
+        return out
+
     monkeypatch.setattr(cap_module, "linprog", recording_linprog)
+    monkeypatch.setattr(cap_module, "_solve_by_generation", recording_generation)
     cloud = discretize(pc.CompactSet(pc.dyadic_shell(ctx, 1), region), resolution)
     coll = build_collocation(cloud)
     res = capacity(cloud, collocation=coll)
@@ -472,16 +481,51 @@ def test_row_generation_matches_the_full_matrix_program(monkeypatch, ctx, region
     assert res.duality_gap <= 1e-9 and res.comp_slack_residual <= 1e-9
     assert diag["lp_rounds"] >= 2 and diag["lp_rows"] < diag["n_collocation"]
     assert diag["lp_iterations"] > 0
+    # the model's columns start at the cloud's boundary and each joins once;
+    # a round's rows hold the model's columns of that round, which columns
+    # only ever join, so they are a prefix of the final column order
+    (_, duals, _, _, (rows, cols)), = working
+    assert np.all(K.max(axis=0) > 0.0) and len(rounds) == diag["lp_rounds"]
+    assert np.array_equal(cols[:rounds[0].shape[1]], np.flatnonzero(cloud.boundary))
+    assert np.unique(cols).size == cols.size == diag["lp_columns"]
+    assert np.unique(rows).size == rows.size == diag["lp_rows"]
+    Ks = K / K.max(axis=0)
+    ends = np.cumsum([r.shape[0] for r in rounds])
+    sets = [(rows[:end], cols[:r.shape[1]]) for r, end in zip(rounds, ends)]
+    for r, (seen, on), end in zip(rounds, sets, ends):
+        assert np.array_equal(r, Ks[np.ix_(seen[end - r.shape[0]:], on)])
     # every round adds rows the model has not seen: no row comes more often
     # than the scaled matrix holds it (neighbouring guards share lateral
-    # companions), and the model ends with the working set
-    assert np.all(K.max(axis=0) > 0.0) and len(rounds) == diag["lp_rounds"]
-    held = Counter(row.tobytes() for row in K / K.max(axis=0))
-    added = np.concatenate(rounds)
+    # companions), over the columns every round holds
+    first = cols[:rounds[0].shape[1]]
+    held = Counter(row.tobytes() for row in Ks[:, first])
+    added = np.concatenate([r[:, :first.size] for r in rounds])
     assert all(n <= held[row] for row, n in Counter(r.tobytes() for r in added).items())
     assert added.shape[0] == diag["lp_rows"]
+    # the last optimum prices out every column of the dense matrix
+    y = duals * np.max(1.0 / K.max(axis=0))
+    assert np.min(K.T @ y - 1.0) >= -ROW_EXCESS
     # each round re-solves from the last basis, not from scratch
-    assert diag["lp_iterations"] < _cold_iterations(K, rounds)
+    assert diag["lp_iterations"] < _cold_iterations(K, sets)
+
+
+def test_columns_off_the_boundary_are_priced_in():
+    """A boundary of one node starts the model on one column; pricing adds
+    the rest the optimum needs, which then matches the all-columns one."""
+    cloud = discretize(pc.CompactSet(pc.dyadic_shell(pc.upper_context(1, [0.5]), 1),
+                                     HalfSpaceCut([1.0], 0.5)), Resolution(level=1))
+    coll = build_collocation(cloud)
+    one = np.zeros(len(cloud), dtype=bool)
+    one[len(cloud) // 2] = True
+    res = capacity(replace(cloud, boundary=one), collocation=coll)
+    every = capacity(replace(cloud, boundary=None), collocation=coll)
+    ref_value, _ = _full_matrix_optimum(cloud, coll)
+    assert every.diagnostics["lp_columns"] == len(cloud)
+    assert res.diagnostics["lp_columns"] > 1
+    assert abs(res.value - every.value) <= 1e-9 * every.value
+    assert abs(res.value - ref_value) <= 1e-9 * ref_value
+    assert res.max_potential <= 1.0 + 1e-7
+    assert res.duality_gap <= 1e-9 and res.comp_slack_residual <= 1e-9
 
 
 def test_column_peaks_are_argmax_with_its_ties():
@@ -529,11 +573,13 @@ def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
     if iterate == "none":
         assert best == 0.0
         return
-    # the iterate is unit mass in the units of each column's peak: scaled
-    # onto every row it is a measure of potential at most 1 everywhere
+    # the iterate is unit mass in the units of each column's peak on the
+    # model's columns, which start at the cloud's boundary: scaled onto
+    # every row it is a measure of potential at most 1 everywhere
     coll = build_collocation(cloud)
     K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, lo)
-    masses = 1.0 / K.max(axis=0)
+    assert 0 < np.sum(cloud.boundary) < len(cloud)
+    masses = np.where(cloud.boundary, 1.0 / K.max(axis=0), 0.0)
     masses /= max(1.0, float(np.max(K @ masses)))
     assert best == pytest.approx(float(np.sum(masses)), rel=1e-12)
     assert float(np.max(K @ masses)) <= 1.0 + 1e-12

@@ -305,7 +305,7 @@ REPORT_KEYS_CASES = {
                         "resolution": {"base_time": 6, "base_radial": 2}}},
         {"comp_slack_residual", "context", "context.dim", "context.gamma",
          "context.half_space", "converged", "criterion", "diagnostics",
-         "diagnostics.lp_iterations", "diagnostics.lp_rounds",
+         "diagnostics.lp_columns", "diagnostics.lp_iterations", "diagnostics.lp_rounds",
          "diagnostics.lp_rows", "diagnostics.n_candidates", "diagnostics.n_collocation",
          "diagnostics.n_nodes", "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
          "measure.masses", "measure.nodes_t", "measure.nodes_x", "probe_max_potential",

@@ -480,3 +480,37 @@ def test_discretize_volume_sanity():
     taus = np.linspace(*ball.time_window, 4001)[1:-1]
     true_vol = float(np.trapezoid(2.0 * ball.radius(taus), taus))
     assert float(np.sum(cloud.cell_dts * cloud.cell_drs)) == pytest.approx(true_vol, rel=0.02)
+
+
+@pytest.mark.parametrize("ctx", [pc.lower_context(1), pc.upper_context(2, [0.5, -0.3]),
+                                 pc.lower_context(3)], ids=["1d", "2d", "3d"])
+def test_boundary_of_a_bare_shell_is_its_first_slice_and_radial_ends(ctx):
+    res = Resolution(level=1 if ctx.dim == 1 else 0)
+    cloud = discretize(CompactSet(pc.dyadic_shell(ctx, 2), None), res)
+    ndir = sphere_directions(ctx.dim, res)[0].shape[0]
+    # a bare shell keeps every cell it examines, in (slice, radial, direction)
+    # order, so its mask is a grid of whole slices
+    assert len(cloud) == cloud.n_candidates
+    mask = cloud.boundary.reshape(-1, res.n_radial, ndir)
+    assert mask[0].all() and mask[:, -1].all() and mask[:, 0].all()
+    assert not mask[1:, 1:-1].any()
+    if ctx.dim == 2:
+        # closed under the rotation of the direction grid
+        assert np.array_equal(mask, np.roll(mask, 1, axis=2))
+
+
+def test_boundary_marks_the_edge_of_a_region():
+    # a space ball through the middle of the shell's cross sections: a node
+    # whose radial neighbour cell is outside the set is on the boundary, and
+    # one off the boundary has both radial neighbours in the set
+    lo = pc.lower_context(1)
+    compact = CompactSet(pc.dyadic_shell(lo, 2), SpaceBall([0.0], 1.2))
+    cloud = discretize(compact, Resolution(level=1))
+    out = np.sign(cloud.xs - lo.axis(cloud.ts))
+    step = cloud.cell_drs[:, None] * out
+    inside = [compact.contains(cloud.xs + s * step, cloud.ts) for s in (-1.0, 1.0)]
+    edge = ~(inside[0] & inside[1])
+    assert edge.any() and not edge.all()
+    assert np.all(cloud.boundary[edge])
+    assert not cloud.boundary.all()
+    assert discretize(CompactSet(pc.dyadic_shell(lo, 2), EmptyRegion()), 0).boundary is None
