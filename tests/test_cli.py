@@ -861,18 +861,22 @@ def scipy_modules():
                               "scipy.special") if m in sys.modules)
 
 loaded = [scipy_modules()]
+pool = ["concurrent.futures" in sys.modules]
 for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
     # exit 1 is an error; 0 and 2 are completed runs
     completed = cli.main(["run", config, "--emit", "json", "--out", out]) != 1
     loaded.append([completed, scipy_modules()])
-print(json.dumps(loaded))
+    pool.append("concurrent.futures" in sys.modules)
+print(json.dumps([loaded, pool]))
 """
 
 
 def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
     """In a fresh interpreter: importing the CLI and running the averaging and
     exchange tasks loads no scipy; a simulation step loads scipy.special and
-    a capacity solve scipy.optimize with its HiGHS binding."""
+    a capacity solve scipy.optimize with its HiGHS binding.  Neither the
+    import nor those tasks load `concurrent.futures`, which pulls in
+    `logging`: the simulation's walk runs on `threading` alone."""
     order = ["mean_value", "harnack", "appell_check", "simulate", "capacity"]
     argv = []
     for stem in order:
@@ -882,7 +886,8 @@ def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded, pool = json.loads(proc.stdout)
+    assert pool[:4] == [False] * 4
     assert loaded[0] == []
     assert loaded[1:] == [
         [True, []],

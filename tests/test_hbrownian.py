@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import parcap as pc
+from parcap import hbrownian
 from parcap.hbrownian import (
     ClusterPolicy,
     ClusterVerdict,
@@ -50,6 +54,16 @@ def test_step_normals_keyed_streams():
     # standard normal at the 1 percent level
     ks = stats.kstest(a.ravel(), "norm")
     assert ks.pvalue > 0.01
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step_normals_from_an_offset_continue_the_stream(dim):
+    # most of these offsets start inside a Philox counter's four words
+    for first in (1, 2, 3, 5, 7, 13, 1001):
+        for n_paths in (0, 1, 6, 257):
+            want = step_normals(7, 5, first + n_paths, dim)[first:]
+            assert np.array_equal(step_normals(7, 5, n_paths, dim, first=first), want)
+            assert np.array_equal(step_normals(7, 5, n_paths, dim, first=np.int64(first)), want)
 
 
 def _clipped_normals(seed, step, n_paths, dim):
@@ -395,3 +409,93 @@ def test_clustering_a_fresh_ensemble_never_builds_the_path_array():
         tracemalloc.stop()
     assert "paths" not in vars(ens)
     assert peak < n_paths * K
+
+
+def _walk_cases():
+    """(ensemble, region, deltas) in 1-D below and 3-D above, per path count."""
+    lo = pc.lower_context(1)
+    up = pc.upper_context(3, [0.3, -0.2, 0.1])
+    lo_region = Union([Tube(PowerProfile(1.5, 0.5)),
+                       Intersection([TimeSlab(-40.0, -5.0), HalfSpaceCut([1.0], -2.0)])])
+    up_region = Union([Tube(PowerProfile(1.0, 0.5)),
+                       Intersection([TimeSlab(0.002, 0.05), HalfSpaceCut([1.0, 1.0, -1.0], 0.0)])])
+    return {
+        "lower_1d": (lambda n: simulate(pc.point([0.0], -1.0), GridPolicy(-1.0, -200.0, ratio=0.8),
+                                        n, lo, seed=51),
+                     lo_region, [-10.0, -50.0, -150.0]),
+        "upper_3d": (lambda n: simulate(pc.point([1.0, 0.5, -0.5], 1.0),
+                                        GridPolicy(1.0, 1e-3, ratio=0.8), n, up, seed=52),
+                     up_region, [0.1, 0.01, 0.002]),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", [0, 1, 3, 1001])
+@pytest.mark.parametrize("case", ["lower_1d", "upper_3d"])
+def test_chunked_walk_equals_the_flat_mask_reference(monkeypatch, case, n_paths, workers):
+    make, region, deltas = _walk_cases()[case]
+    ref = make(n_paths)  # one chunk, built before the chunk size shrinks
+    want = _flat_mask_estimate(ref, region, deltas)
+    # chunks of 7 paths cut Philox counters in every dimension but 4
+    monkeypatch.setattr(hbrownian, "_CHUNK_PATHS", 7)
+    monkeypatch.setattr(hbrownian, "_workers", lambda: workers)
+    assert cluster_probability(make(n_paths), region, deltas) == want
+    chunked = make(n_paths)
+    assert np.array_equal(chunked.paths, ref.paths)
+    lo_, hi_ = min(5, n_paths), min(12, n_paths)
+    assert np.array_equal(np.stack(list(chunked.blocks(lo_, hi_)), axis=1), ref.paths[lo_:hi_])
+    if n_paths == 1001:
+        assert 0.0 < want.frequencies[-1] < 1.0  # the region splits the paths
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class _FailsOnTheLastChunk:
+    """Membership that raises on blocks of `rows` paths, the last chunk's size."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def contains(self, xs, ts, ctx):
+        if xs.shape[0] == self.rows:
+            raise _Boom("membership failed")
+        return np.zeros(xs.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_exception_in_one_chunk_reaches_the_caller(monkeypatch, workers):
+    make, _, deltas = _walk_cases()["lower_1d"]
+    monkeypatch.setattr(hbrownian, "_CHUNK_PATHS", 7)
+    monkeypatch.setattr(hbrownian, "_workers", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(_Boom, match="membership failed"):
+        cluster_probability(make(1000), _FailsOnTheLastChunk(1000 % 7), deltas)
+    assert threading.active_count() == before
+
+
+def test_chunk_map_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: every chunk runs
+    # exactly once and the results come back in chunk order
+    monkeypatch.setattr(hbrownian, "_CHUNK_PATHS", 7)
+    monkeypatch.setattr(hbrownian, "_workers", lambda: 8)
+    calls = []
+    lock = threading.Lock()
+
+    def fn(lo, hi):
+        with lock:
+            calls.append(lo)
+        return (lo, hi)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = hbrownian._map_chunks(fn, 1001)
+    finally:
+        sys.setswitchinterval(interval)
+    edges = list(range(0, 1001, 7)) + [1001]
+    assert got == list(zip(edges[:-1], edges[1:]))
+    assert sorted(calls) == edges[:-1]
+    assert threading.active_count() == before
