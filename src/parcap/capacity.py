@@ -36,14 +36,16 @@ row and every column, not only the working sets.
 A series solves shells that are dilations of each other: in the lower
 half-space each dyadic shell is the parabolic dilation (x, t) -> (sqrt(2) x,
 2 t) of the last about its centre, and the program scales with it, masses
-and row duals by c^(N/2) at scale c.  A ``DilationMemo`` keeps, per
-resolution, the last solved shell of one series call in its shell's scaled
-frame.  When a new shell's scaled node cloud matches the kept one within
-1e-12, with as many collocation rows, the kept masses and duals are scaled up
-to it and kept only if they pass the generation loop's own test on the new
-shell's collocation: potential <= 1 + ROW_EXCESS on every row, and reduced
-cost A^T y - 1 >= -ROW_EXCESS on every column, so the pair is primal and
-dual feasible with the gap of the solve it came from.  Otherwise the shell is
+and row duals by c^(N/2) at scale c, as every cell height scales by c.  A
+``DilationMemo`` keeps, per resolution, the masses and row duals of the last
+optimum of one series call, over its cloud's cell height to the N/2.  A new
+lower-half-space cloud with as many nodes and collocation rows gets them
+scaled back up by its own cell height, and keeps them only if their own
+certificates on its collocation show them optimal: potential <= 1 +
+ROW_EXCESS on every row, reduced cost A^T y - 1 >= -ROW_EXCESS on every
+column, and a duality gap, as the result reports it, within ROW_EXCESS.  A
+primal and a dual feasible pair whose objectives agree are both optimal
+(weak duality), so no geometry needs to match.  Otherwise the shell is
 solved as above.  Either way the certificates are computed on the shell's
 own collocation and probe cloud.  A reused optimum is optimal to the same
 tolerances as a fresh one but need not be the same vertex, so a shell's
@@ -390,13 +392,12 @@ def capacity(
     *,
     collocation: Optional[Collocation] = None,
     probe_seed: int = PROBE_SEED,
-    memo: Optional["_ShellFrame"] = None,
+    memo: Optional[DilationMemo] = None,
 ) -> CapacityResult:
     """Solve the packing program for one node cloud, in its set's context.
 
-    With memo, the frame of a ``DilationMemo`` at this cloud's shell, a
-    proposal the memo makes is kept if it passes the generation loop's test on
-    this collocation, and the solution is given back to the memo.
+    With memo, a proposal the memo makes is kept if its certificates on this
+    collocation show it optimal, and the solution is given back to the memo.
 
     Raises SolverFailure when the LP does not reach optimality; the exception
     carries the value of the last iterate scaled down to potential <= 1 on
@@ -417,12 +418,13 @@ def capacity(
 
     ctx = cloud.ctx
     coll = collocation if collocation is not None else build_collocation(cloud)
-    solved = None if memo is None else _check_proposal(cloud, coll, memo.propose(cloud, coll))
+    proposal = None if memo is None else memo.propose(cloud, coll)
+    solved = None if proposal is None else _check_proposal(cloud, coll, proposal)
     if solved is None:
         solved = _solve(cloud, coll)
     masses, y, pots, red, lp_facts = solved
     if memo is not None:
-        memo.keep(cloud, coll, masses, y)
+        memo.keep(cloud, masses, y)
 
     value = float(np.sum(masses))
     mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
@@ -431,7 +433,7 @@ def capacity(
         float(np.max(np.abs(y * (1.0 - pots)))) if y.size else 0.0,
         float(np.max(np.abs(masses * red))),
     ) / scale
-    gap = abs(float(np.sum(y)) - value) / scale
+    gap = _duality_gap(masses, y)
 
     px, pt = _probe_points(cloud, coll, probe_seed)
     probe_max = float(np.max(potential_batch(mu, px, pt, ctx))) if pt.size else 0.0
@@ -510,15 +512,22 @@ def _column_peaks(A):
     return peak, col_max
 
 
+def _duality_gap(masses, y) -> float:
+    """|sum y - sum masses| over max(1, sum masses), as the result reports it."""
+    value = float(np.sum(masses))
+    return abs(float(np.sum(y)) - value) / max(1.0, value)
+
+
 def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):
     """The proposal (masses, row duals) with the potential on every row and
-    the reduced costs, if it is primal feasible and dual feasible within
-    ROW_EXCESS on this collocation; else None.  Only the support columns and
-    the rows with a positive dual enter the kernel matrix.  A dead column's
-    reduced cost is -1, so a cloud with one is always solved."""
-    if proposal is None:
-        return None
+    the reduced costs, if it is primal feasible, dual feasible and of duality
+    gap within ROW_EXCESS on this collocation, which makes it optimal by weak
+    duality; else None.  Only the support columns and the rows with a
+    positive dual enter the kernel matrix.  A dead column's reduced cost is
+    -1, so a cloud with one is always solved."""
     masses, y = proposal
+    if not _duality_gap(masses, y) <= ROW_EXCESS:
+        return None
     # the dual test reads a few rows of the matrix, the primal one every row,
     # so a proposal that fails the dual test is refused at the lower cost
     rows = y > 0.0
@@ -534,54 +543,33 @@ def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):
                                   "lp_iterations": 0}
 
 
-# scaled node clouds closer than this are taken for the same shell
-DILATION_MATCH = 1e-12
-
-
 class DilationMemo:
-    """The last solved shell of one series call at each resolution, kept in
-    its shell's scaled frame: node offsets (x - axis(t)) / sqrt(c) and
-    (t - t_centre) / c at shell scale c, masses and row duals over c^(N/2)."""
+    """The last optimum of one series call at each resolution: its masses and
+    row duals over h^(N/2), for h the cloud's first cell height.  A
+    parabolic dilation by c scales every cell height by c and the program's
+    masses and duals by c^(N/2)."""
 
     def __init__(self):
         self._kept = {}
 
-    def at(self, shell) -> Optional["_ShellFrame"]:
-        """This memo in the frame of shell, or None in the upper half-space,
-        whose node placement is not dilation-covariant."""
-        if shell.ctx.is_upper:
-            return None
-        ball = getattr(shell, "outer", shell)
-        return _ShellFrame(self._kept, ball.time_center, ball.scale)
-
-
-@dataclass(frozen=True)
-class _ShellFrame:
-    kept: dict
-    t_centre: float
-    scale: float
-
-    def _scaled(self, cloud: NodeCloud):
-        c = self.scale
-        return ((cloud.xs - cloud.ctx.axis(cloud.ts)) / np.sqrt(c),
-                (cloud.ts - self.t_centre) / c, c ** (0.5 * cloud.dim))
-
     def propose(self, cloud: NodeCloud, coll: Collocation):
-        """The kept (masses, row duals) at cloud's resolution scaled up to this
-        shell, if the kept scaled cloud is this one and its collocation has as
-        many rows; else None."""
-        kept = self.kept.get(cloud.resolution)
-        if kept is None or kept.ts.shape != cloud.ts.shape or kept.duals.size != len(coll):
+        """The kept (masses, row duals) at cloud's resolution scaled up to
+        cloud, if the kept cloud has as many nodes and collocation rows; else
+        None, and always None in the upper half-space, whose node placement
+        is not dilation-covariant."""
+        kept = self._kept.get(cloud.resolution)
+        if (cloud.ctx.is_upper or kept is None or kept.masses.size != len(cloud)
+                or kept.duals.size != len(coll)):
             return None
-        xs, ts, unit = self._scaled(cloud)
-        if max(np.max(np.abs(xs - kept.xs)), np.max(np.abs(ts - kept.ts))) > DILATION_MATCH:
-            return None
-        return kept.masses * unit, kept.duals * unit
+        return kept.masses * _unit(cloud), kept.duals * _unit(cloud)
 
-    def keep(self, cloud: NodeCloud, coll: Collocation, masses, duals) -> None:
-        xs, ts, unit = self._scaled(cloud)
-        self.kept[cloud.resolution] = SimpleNamespace(
-            xs=xs, ts=ts, masses=masses / unit, duals=duals / unit)
+    def keep(self, cloud: NodeCloud, masses, duals) -> None:
+        self._kept[cloud.resolution] = SimpleNamespace(masses=masses / _unit(cloud),
+                                                       duals=duals / _unit(cloud))
+
+
+def _unit(cloud: NodeCloud) -> float:
+    return float(cloud.cell_dts[0]) ** (0.5 * cloud.dim)
 
 
 def capacity_of_region(
@@ -600,7 +588,6 @@ def capacity_of_region(
     consecutive levels emit no nodes.  With memo, each level may reuse the
     solution of a shell this set's shell dilates.
     """
-    frame = memo.at(compact.shell) if memo is not None else None
     history: list[tuple[int, float]] = []
     last: Optional[CapacityResult] = None
     empty_streak = 0
@@ -617,7 +604,7 @@ def capacity_of_region(
             continue
         empty_streak = 0
         try:
-            result = capacity(cloud, probe_seed=probe_seed, memo=frame)
+            result = capacity(cloud, probe_seed=probe_seed, memo=memo)
         except SolverFailure as exc:
             history.append((lv, exc.best_value))
             return CapacityResult(

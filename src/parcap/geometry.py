@@ -135,9 +135,10 @@ class HeatBall:
 
     def check(self, lead: str) -> None:
         """Refuse the ball, with a ValueError led by lead, unless its
-        native-time window is finite with lo < hi and four times its peak
-        squared radius (a bound on the squared distances within a cross
-        section) is finite.  Above, also refuse it unless 4 t_lo^2, for t_lo
+        native-time window is finite with lo < hi, 4 pi (hi - lo) is finite
+        (it bounds the 4 pi dt of the kernel) and four times its peak squared
+        radius (a bound on the squared distances within a cross section) is
+        finite.  Above, also refuse it unless 4 t_lo^2, for t_lo
         the window's lower end, is a normal float (it bounds the 4 t tau the
         kernel's gap divides by) and 4 t0^2 c (which bounds the 4 t t0 c of
         the radius) is finite."""
@@ -146,6 +147,7 @@ class HeatBall:
         except ZeroDivisionError:  # a window from t = 0 above
             lo = hi = math.nan
         ok = (math.isfinite(lo) and lo < hi < math.inf
+              and math.isfinite(4.0 * math.pi * (hi - lo))
               and math.isfinite(4.0 * self.peak_radius_sq))
         if self.ctx.is_upper:
             t_lo, t0 = self.time_window[0], self.time_center

@@ -22,9 +22,10 @@ afresh and yields one (hi - lo, N) block of positions per grid time,
 keeping only the current one alive; it draws words lo * N onward of each
 step's stream, so every run of any path range is the same bit for bit.
 Both readers cut the ensemble into chunks of at most `_CHUNK_PATHS` paths
-and walk each chunk's whole grid on one of up to one thread per available
-core: numpy and scipy.special release the interpreter lock in the Philox,
-inverse-normal and membership kernels that take nearly all of the time.
+and walk each chunk's whole grid on a thread pool of up to one thread per
+available core (`concurrent.futures`): numpy and scipy.special release the
+interpreter lock in the Philox, inverse-normal and membership kernels that
+take nearly all of the time.
 Clustering keeps one integer per path, the deepest grid index at which the
 path was in the region, so it needs O(n_paths) memory in all, plus one
 block per running chunk.  Only `paths`, the (n_paths, K, N) array that the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -185,46 +185,23 @@ def _workers() -> int:
 def _map_chunks(fn: Callable[[int, int], object], n_paths: int) -> list:
     """fn(lo, hi) over consecutive chunks of at most _CHUNK_PATHS paths that
     cover 0..n_paths (one empty chunk when there are none), results in chunk
-    order.  Up to `_workers()` threads take chunks in turn; with one, the
-    calling thread runs them.  Every thread is joined before this returns,
-    and an exception raised by fn is raised here, after the workers stop."""
+    order.  Up to `_workers()` threads of a ThreadPoolExecutor take the
+    chunks; with one, the calling thread runs them.  An exception raised by
+    fn, or an interrupt, drops the chunks not yet started, and every thread
+    is joined before this returns or raises."""
     chunks = [(lo, min(lo + _CHUNK_PATHS, n_paths))
               for lo in range(0, max(n_paths, 1), _CHUNK_PATHS)]
     workers = min(_workers(), len(chunks))
     if workers <= 1:
         return [fn(lo, hi) for lo, hi in chunks]
+    # imported here: concurrent.futures loads logging, which set-up never needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    results: list = [None] * len(chunks)
-    errors: list[BaseException] = []
-    pending = list(range(len(chunks)))[::-1]  # popped from the end, in chunk order
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                if not pending:
-                    return
-                i = pending.pop()
-            try:
-                results[i] = fn(*chunks[i])
-            except BaseException as exc:  # raised in the caller below
-                with lock:
-                    errors.append(exc)
-                    pending.clear()
-                return
-
-    threads = [threading.Thread(target=work, name=f"parcap-walk-{j}") for j in range(workers)]
-    for th in threads:
-        th.start()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="parcap-walk")
     try:
-        for th in threads:
-            th.join()
+        return list(pool.map(fn, *zip(*chunks)))
     finally:
-        with lock:  # an interrupted join stops the workers after their chunks
-            pending.clear()
-    if errors:
-        raise errors[0]
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def transition_parameters(

@@ -313,7 +313,7 @@ def _scaled_cloud(cloud, n):
     "region, level, n",
     [(Tube(PowerProfile(1.5, 0.5)), level, n) for level, n in ((0, 7), (0, 9), (1, 6), (1, 8))]
     + [pytest.param(None, level, n, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 9: the absolute-time halo rows at t_top * 0.5 and "
+        strict=True, reason="ROADMAP item 10: the absolute-time halo rows at t_top * 0.5 and "
                             "t_top * 0.25 bind on bare shells and break the dilation"))
        for level in (0, 1) for n in (5, 6, 7, 8)],
     ids=lambda v: "bare" if v is None else ("tube" if isinstance(v, Tube) else str(v)),

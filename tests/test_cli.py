@@ -605,6 +605,9 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
                         "parameters": {"shell": {"kind": "dyadic", "n": 0},
                                        "time_center": 1e300}},
          "/parameters/time_center"),
+        # a finite lower window whose 4 pi dt overflows the kernel
+        ("capacity.shell", {"kind": "dyadic", "n": 1022}, "/parameters/shell/n"),
+        ("capacity.shell", {"kind": "dyadic", "n": 1021}, "/parameters/shell/n"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
@@ -653,12 +656,16 @@ def _run_largest(tmp_path, capsys, context, ns, largest):
 def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys, half_space,
                                                                 value_1000):
     """The largest dyadic n the check accepts runs at level 0 with no
-    RuntimeWarning, n + 1 is refused, and n = 1000 keeps its value."""
+    RuntimeWarning, n + 1 is refused, n = 1000 keeps its value, and the
+    largest n keeps n = 1000's value / 2^(n/2): the shells are dilations of
+    each other.  Past n = 1020 the kernel's 4 pi dt overflows."""
     context = {"dim": 1, "gamma": [0.0], "half_space": half_space}
     largest = max(n for n in range(900, 1100)
                   if _accepted(DyadicShells(), cli.ContextConfig(**context).ctx, n))
     values = _run_largest(tmp_path, capsys, context, (largest, 1000, largest + 1), largest)
     assert values[1000] == value_1000
+    assert values[largest] / 2.0 ** (largest / 2) == pytest.approx(
+        values[1000] / 2.0**500, rel=1e-9)
 
 
 def test_the_largest_accepted_upper_shell_index_holds_the_dilation_law(tmp_path, capsys):
@@ -876,7 +883,7 @@ def test_scipy_loads_only_with_the_first_lp_or_simulation_step(tmp_path):
     exchange tasks loads no scipy; a simulation step loads scipy.special and
     a capacity solve scipy.optimize with its HiGHS binding.  Neither the
     import nor those tasks load `concurrent.futures`, which pulls in
-    `logging`: the simulation's walk runs on `threading` alone."""
+    `logging`."""
     order = ["mean_value", "harnack", "appell_check", "simulate", "capacity"]
     argv = []
     for stem in order:

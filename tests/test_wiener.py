@@ -156,7 +156,7 @@ def _record_lp(monkeypatch):
 
 
 def _record_checks(monkeypatch):
-    """(a proposal was made, it was kept) for every capacity() with a memo."""
+    """(a proposal was made, it was kept) for every proposal checked."""
     checks = []
     check = CAP._check_proposal
 
@@ -207,13 +207,13 @@ def test_bare_shells_refuse_every_proposal(monkeypatch, gamma):
 
 
 def test_a_raised_proposal_is_refused_and_solved(monkeypatch):
-    propose = CAP._ShellFrame.propose
+    propose = DilationMemo.propose
 
     def raised(self, cloud, coll):
         out = propose(self, cloud, coll)
         return None if out is None else (1.01 * out[0], out[1])
 
-    monkeypatch.setattr(CAP._ShellFrame, "propose", raised)
+    monkeypatch.setattr(DilationMemo, "propose", raised)
     lp = _record_lp(monkeypatch)
     checks = _record_checks(monkeypatch)
     lo = pc.lower_context(1)
@@ -225,10 +225,40 @@ def test_a_raised_proposal_is_refused_and_solved(monkeypatch):
     assert [t.capacity for t in rep.terms] == [r.value for r in alone]
 
 
+def test_a_lowered_proposal_is_refused_and_solved(monkeypatch):
+    # masses below the optimum stay primal feasible and the duals dual
+    # feasible, so only the duality gap tells the proposal is not optimal
+    propose = DilationMemo.propose
+
+    def lowered(self, cloud, coll):
+        out = propose(self, cloud, coll)
+        return None if out is None else (0.99 * out[0], out[1])
+
+    monkeypatch.setattr(DilationMemo, "propose", lowered)
+    checks = _record_checks(monkeypatch)
+    lo = pc.lower_context(1)
+    one_level = Refinement(levels=(1,), resolution=SMALL.resolution)
+    memo = DilationMemo()
+    _, second = (
+        capacity_of_region(CompactSet(dyadic_shell(lo, n), TUBE), refinement=one_level,
+                           memo=memo)
+        for n in (6, 7)
+    )
+    fresh = capacity_of_region(CompactSet(dyadic_shell(lo, 7), TUBE), refinement=one_level)
+    assert checks == [(True, False)]
+    assert second.diagnostics["lp_rounds"] > 0
+    assert second.value == pytest.approx(fresh.value, rel=1e-9)
+    assert second.duality_gap <= 1e-9
+
+
 def test_an_upper_series_gets_no_proposal(monkeypatch):
     checks = _record_checks(monkeypatch)
     up = pc.upper_context(1)
-    assert DilationMemo().at(dyadic_shell(up, 3)) is None
+    cloud = discretize(CompactSet(dyadic_shell(up, 3), None), SMALL.resolution)
+    coll = build_collocation(cloud)
+    memo = DilationMemo()
+    memo.keep(cloud, np.ones(len(cloud)), np.ones(len(coll)))
+    assert memo.propose(cloud, coll) is None
     rep = pc.series_terms(None, up, range(2, 6), refinement=SMALL)
     assert checks == [] and all(t.capacity > 0.0 for t in rep.terms)
 
