@@ -109,20 +109,18 @@ def verify_h_identities(
     z: SpaceTimePoint,
     ctx: PoleContext,
     step: float = 1e-3,
-    direction: AppellDirection = AppellDirection.FORWARD,
 ) -> IdentityResidual:
     """Probe the transfer identity for the weighted heat operator.
 
-    Forward: for smooth u on the upper half-space and upper point z with
-    image w, compares H[h u] / h at z against 4 tau_w^2 H[h~ u(inverse)] / h~
-    at w, both sides by finite differences.  Backward starts from a lower
-    field and point, with the roles of h and h~ exchanged.  The difference
-    of the two sides is the residual.
+    From an upper ctx (forward): for smooth u on the upper half-space and
+    upper point z with image w, compares H[h u] / h at z against
+    4 tau_w^2 H[h~ u(inverse)] / h~ at w, both sides by finite differences.
+    From a lower ctx (backward) it starts from a lower field and point, with
+    the roles of h and h~ exchanged.  The difference of the two sides is the
+    residual.
     """
-    forward = direction is AppellDirection.FORWARD
-    if forward != ctx.is_upper:
-        side = "an upper" if forward else "a lower"
-        raise DomainError(f"{direction.value} identity starts from {side} context")
+    forward = ctx.is_upper
+    direction = AppellDirection.FORWARD if forward else AppellDirection.BACKWARD
     image_ctx = ctx.mirror()
     inverse = AppellDirection.BACKWARD if forward else AppellDirection.FORWARD
     w = appell_map(z, direction)

@@ -1,16 +1,19 @@
 """Heat-ball averaging: the mean-value identity, its scale derivative, the
 sub-caloric gap inequality and a two-sided Harnack-type check.
 
-All functionals integrate over heat balls with a weight carrying a vertex
+Each functional takes the field and the HeatBall it integrates over, whose
+context, time center and scale fix the half-space, the center and c.  All
+functionals integrate over heat balls with a weight carrying a vertex
 singularity |t - t_center|^(-2) softened by the squared distance to the
 section axis.  Quadrature is slice-wise: Gauss-Legendre in time over a
 dyadically graded mesh accumulating at both window ends, Gauss-Legendre in
-radius across each section, and an equal-measure direction grid.  A vertex
-cap of relative height cap_fraction is excluded and its contribution is
-estimated semi-analytically (the geometric factor is a one-dimensional
-integral of the closed-form section radius; the field is frozen at the cap
-base).  Every public value is accompanied by a two-resolution error estimate
-and non-convergence raises with the partial value attached.
+radius across each section, and an equal-measure direction grid.  A small
+vertex cap is excluded and its contribution is estimated semi-analytically
+(the geometric factor is a one-dimensional integral of the closed-form
+section radius; the field is frozen at the cap base).  Every public value is
+the fine one of two fixed passes, a coarse and a fine rule; their difference
+is its error estimate, and an estimate above QuadratureSpec.tol (or NaN)
+raises with the partial value attached.
 
 Every functional is computed in the lower half-space: an upper call is the
 lower one of the field pulled back through the exchange map (Appell's
@@ -28,16 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .appell import AppellDirection, appell_map, appell_map_arrays
+from .appell import AppellDirection, appell_map_arrays
 from .geometry import HeatBall, Resolution, sphere_directions
 from .kernel import (
-    DomainError,
     Field,
-    PoleContext,
     SpaceTimePoint,
     fd_step,
     field_values,
@@ -64,37 +65,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Slice counts and grading for ball quadrature.
+    """The tolerance of ball quadrature: the relative error estimated from a
+    coarse and a fine pass must come in under tol, else the operation
+    raises."""
 
-    The estimated relative error (from a paired refined pass) must come in
-    under tol on smooth integrands, else the operation raises.
-    """
-
-    CONFIG_KEYS = ("tol",)
-    gauss_points: int = 8
-    radial_points: int = 12
-    angular_points: int = 16
-    polar_points: int = 8
-    base_levels: int = 8        # dyadic grading depth toward the far window end
-    cap_fraction: float = 1e-6  # relative height of the excluded vertex cap
     tol: float = 1e-3
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
-    @property
-    def vertex_levels(self) -> int:
-        return max(4, math.ceil(math.log2(1.0 / (2.0 * self.cap_fraction))))
 
-    def refined(self) -> "QuadratureSpec":
-        return replace(
-            self,
-            gauss_points=self.gauss_points + 2,
-            radial_points=self.radial_points + 4,
-            base_levels=self.base_levels + 2,
-            cap_fraction=self.cap_fraction * 0.25,
-        )
+class _Rule(NamedTuple):
+    """Slice counts and grading of one quadrature pass."""
+
+    gauss: int            # Gauss-Legendre points per time segment
+    radial: int           # Gauss-Legendre points across a section
+    base_levels: int      # dyadic grading depth toward the far window end
+    cap_fraction: float   # relative height of the excluded vertex cap
+
+
+_COARSE = _Rule(8, 12, 8, 1e-6)
+_FINE = _Rule(10, 16, 10, 2.5e-7)
+# the direction grid of every pass and of the Harnack slice
+_DIRECTIONS = Resolution(base_angular=16, base_polar=8)
 
 
 class QuadratureError(RuntimeError):
@@ -147,16 +141,16 @@ def _gauss(n: int):
     return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
 
 
-def _time_segments(ball: HeatBall, spec: QuadratureSpec):
+def _time_segments(ball: HeatBall, rule: _Rule):
     """Graded segments of the time window; the vertex cap is split off."""
     lo, hi = ball.time_window
     T = hi - lo
     half = 0.5 * T
     edges = [lo]
-    for j in range(spec.base_levels, 0, -1):
+    for j in range(rule.base_levels, 0, -1):
         edges.append(lo + half * 2.0 ** (-j))
     edges.append(lo + half)
-    jv = spec.vertex_levels
+    jv = max(4, math.ceil(math.log2(1.0 / (2.0 * rule.cap_fraction))))
     for j in range(1, jv + 1):
         edges.append(hi - half * 2.0 ** (-j))
     cap_base = hi - half * 2.0 ** (-jv)
@@ -167,7 +161,7 @@ def _time_segments(ball: HeatBall, spec: QuadratureSpec):
 def _ball_integral(
     ball: HeatBall,
     g: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    spec: QuadratureSpec,
+    rule: _Rule,
 ) -> tuple[float, float]:
     """Integral over the ball of g(x, t, r, R_t) r^(N-1) dr dsigma dt.
 
@@ -176,13 +170,10 @@ def _ball_integral(
     values.  Returns (value over the capped window, cap base time).
     """
     N = ball.dim
-    dirs, wdir = sphere_directions(
-        N,
-        Resolution(base_angular=spec.angular_points, base_polar=spec.polar_points),
-    )
-    gx, gw = _gauss(spec.gauss_points)
-    rx, rw = _gauss(spec.radial_points)
-    segs, cap_base = _time_segments(ball, spec)
+    dirs, wdir = sphere_directions(N, _DIRECTIONS)
+    gx, gw = _gauss(rule.gauss)
+    rx, rw = _gauss(rule.radial)
+    segs, cap_base = _time_segments(ball, rule)
 
     total = 0.0
     for a, b in segs:
@@ -234,29 +225,19 @@ def _cap_geometric_factor(
     return float(np.sum(gw * width * k_of_t(t) * _sphere_area(N) * R ** (N + 2) / (N + 2)))
 
 
-def _below(u: Field, center: SpaceTimePoint, ctx: PoleContext, hu_operator=None):
+def _below(u: Field, ball: HeatBall, hu_operator=None):
     """The arguments themselves below; above, the field pulled back through
-    the exchange map, the image centre, the mirrored context and the pulled
-    operator over 4 tau^2 (the weighted heat operator's transfer identity)."""
-    if not ctx.is_upper:
-        return u, center, ctx, hu_operator
+    the exchange map, the image ball and the pulled operator over 4 tau^2
+    (the weighted heat operator's transfer identity)."""
+    if not ball.ctx.is_upper:
+        return u, ball, hu_operator
     back = lambda xs, ts: appell_map_arrays(xs, ts, AppellDirection.BACKWARD)
     pulled = lambda xs, ts: field_values(u, *back(xs, ts))
     op = lambda xs, ts: field_values(hu_operator, *back(xs, ts)) / (4.0 * ts * ts)
-    image = appell_map(center, AppellDirection.FORWARD)
-    return pulled, image, ctx.mirror(), op if hu_operator is not None else None
+    return pulled, ball.appell_image(), op if hu_operator is not None else None
 
 
-def _ball_from_center(center: SpaceTimePoint, c: float, ctx: PoleContext) -> HeatBall:
-    ball = HeatBall(ctx, center.t, c)
-    if not np.allclose(ball.center.x, center.x, atol=1e-12):
-        raise DomainError(
-            "averaging centers must sit on the pole axis of their half-space"
-        )
-    return ball
-
-
-def _rho_weight_raw(u: Field, ball: HeatBall, spec: QuadratureSpec) -> float:
+def _rho_weight_raw(u: Field, ball: HeatBall, rule: _Rule) -> float:
     """Raw integral of u rho^2 / (t - t0)^2 over a lower ball."""
     t0 = ball.time_center
     k = lambda t: 1.0 / (t - t0) ** 2
@@ -264,18 +245,19 @@ def _rho_weight_raw(u: Field, ball: HeatBall, spec: QuadratureSpec) -> float:
     def g(xs, ts, rs, Rs):
         return field_values(u, xs, ts) * rs * rs * k(ts)
 
-    val, cap_base = _ball_integral(ball, g, spec)
+    val, cap_base = _ball_integral(ball, g, rule)
     cap_t = np.array([cap_base])
     u_ref = field_values(u, ball.axis(cap_t), cap_t)[0]
     val += u_ref * _cap_geometric_factor(ball, k, cap_base)
     return val
 
 
-def _with_estimate(raw_fn, spec: QuadratureSpec, label: str) -> QuadResult:
-    coarse = raw_fn(spec)
-    fine = raw_fn(spec.refined())
+def _with_estimate(raw_fn, quad: QuadratureSpec, label: str) -> QuadResult:
+    coarse = raw_fn(_COARSE)
+    fine = raw_fn(_FINE)
     err = abs(fine - coarse)
-    if err > spec.tol * (abs(fine) + 1.0):
+    # a NaN estimate fails too
+    if not err <= quad.tol * (abs(fine) + 1.0):
         raise QuadratureError(
             f"{label}: estimated error {err:.3e} above tolerance", fine, err
         )
@@ -286,61 +268,48 @@ def _with_estimate(raw_fn, spec: QuadratureSpec, label: str) -> QuadResult:
 # public functionals
 # ---------------------------------------------------------------------------
 
-def phi(
-    u: Field,
-    c: float,
-    center: SpaceTimePoint,
-    ctx: PoleContext,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> QuadResult:
-    """Scale functional: the normalized rho^2-weighted ball integral of u.
+def phi(u: Field, ball: HeatBall, quad: QuadratureSpec = QuadratureSpec()) -> QuadResult:
+    """Scale functional: the normalized rho^2-weighted integral of u over
+    the ball.
 
-    Constant in c exactly when u is pole-weighted caloric; its value then
-    determines u at the center (see mean_value).
+    Constant in the ball's scale exactly when u is pole-weighted caloric;
+    its value then determines u at the center (see mean_value).
     """
-    u, center, ctx, _ = _below(u, center, ctx)
-    ball = _ball_from_center(center, c, ctx)
-    pref = c ** (-0.5 * ctx.dim)
-    res = _with_estimate(lambda s: _rho_weight_raw(u, ball, s), quad, "phi")
+    u, ball, _ = _below(u, ball)
+    pref = ball.scale ** (-0.5 * ball.dim)
+    res = _with_estimate(lambda r: _rho_weight_raw(u, ball, r), quad, "phi")
     return QuadResult(pref * res.value, pref * res.error_estimate)
 
 
-def mean_value(
-    u: Field,
-    center: SpaceTimePoint,
-    c: float,
-    ctx: PoleContext,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Weighted ball average reproducing u(center) for pole-weighted caloric u.
+def mean_value(u: Field, ball: HeatBall, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Weighted ball average reproducing u(ball.center) for pole-weighted
+    caloric u.
 
     It is phi / (2^(N+2) pi^(N/2)), that is (2^(N+2) (pi c)^(N/2))^(-1) times
     the integral of u rho^2 / (t - t0)^2 over the lower ball; the power of
     two is the one the u = 1 test singles out.  An upper call is the lower
-    one of the pulled-back field about the image centre.
+    one of the pulled-back field over the image ball.
     """
-    N = ctx.dim
-    return phi(u, c, center, ctx, quad).value / (2.0 ** (N + 2) * np.pi ** (0.5 * N))
+    N = ball.dim
+    return phi(u, ball, quad).value / (2.0 ** (N + 2) * np.pi ** (0.5 * N))
 
 
-def weighted_heat_residual(
-    u: Field, ctx: PoleContext, ball: Optional[HeatBall] = None
-) -> Field:
+def weighted_heat_residual(u: Field, ball: HeatBall) -> Field:
     """Probe of H[weight * u] / weight by finite differences, as a field.
 
     The step shrinks near the ball's time window so stencils stay in the
     smooth zone; pass an analytic operator instead wherever it is known.
     """
+    ctx = ball.ctx
 
     def weighted(xs, ts):
         return np.exp(log_pole_weight(xs, ts, ctx)) * field_values(u, xs, ts)
 
     def q(xs, ts):
         h = fd_step(xs, ts)
-        if ball is not None:
-            lo, hi = ball.time_window
-            h = np.minimum(h, 0.2 * np.abs(hi - ts) + 1e-12)
-            h = np.minimum(h, 0.2 * np.abs(ts - lo) + 1e-12)
+        lo, hi = ball.time_window
+        h = np.minimum(h, 0.2 * np.abs(hi - ts) + 1e-12)
+        h = np.minimum(h, 0.2 * np.abs(ts - lo) + 1e-12)
         h = np.minimum(h, 0.2 * np.abs(ts))
         return heat_operator_fd_batch(weighted, xs, ts, h) / np.exp(
             log_pole_weight(xs, ts, ctx)
@@ -351,26 +320,23 @@ def weighted_heat_residual(
 
 def phi_prime(
     u: Field,
-    c: float,
-    center: SpaceTimePoint,
-    ctx: PoleContext,
+    ball: HeatBall,
     quad: QuadratureSpec = QuadratureSpec(),
     hu_operator: Optional[Field] = None,
 ) -> QuadResult:
     """Derivative of phi in the scale, as a bulk integral of the weighted
     heat operator against the section-gap weight (R^2 - rho^2)."""
-    u, center, ctx, hu_operator = _below(u, center, ctx, hu_operator)
-    ball = _ball_from_center(center, c, ctx)
-    N = ctx.dim
+    u, ball, hu_operator = _below(u, ball, hu_operator)
+    N, c = ball.dim, ball.scale
     t0 = ball.time_center
-    q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ctx, ball)
+    q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ball)
     pref = N / (2.0 * c ** (0.5 * (N + 2)))
 
     def g(xs, ts, rs, Rs):
         return field_values(q, xs, ts) * (Rs * Rs - rs * rs) / (ts - t0)
 
-    def raw(s: QuadratureSpec) -> float:
-        return _ball_integral(ball, g, s)[0]
+    def raw(rule: _Rule) -> float:
+        return _ball_integral(ball, g, rule)[0]
 
     res = _with_estimate(raw, quad, "phi_prime")
     return QuadResult(pref * res.value, pref * res.error_estimate)
@@ -393,23 +359,23 @@ def _sample_ball_points(ball: HeatBall, n_time=10, n_radial=4):
 
 def subparabolic_gap(
     u: Field,
-    c: float,
-    center: SpaceTimePoint,
-    ctx: PoleContext,
+    ball: HeatBall,
     quad: QuadratureSpec = QuadratureSpec(),
     hu_operator: Optional[Field] = None,
     precheck_tol: float = 1e-6,
 ) -> GapResult:
-    """Both sides of the scale-gap inequality for sub-caloric weighted fields.
+    """Both sides of the scale-gap inequality for sub-caloric weighted fields,
+    between the ball and its double, with the mass term over its half.
 
     Requires H[weight * u] <= 0 across the double ball (checked by sampling;
     violations raise with the offending point).  The right side excludes the
     unknown universal constant; the fitted quotient lhs / rhs is returned so
     the constant can be tracked across fixtures.
     """
-    u, center, ctx, hu_operator = _below(u, center, ctx, hu_operator)
-    big = _ball_from_center(center, 2.0 * c, ctx)
-    q = hu_operator if hu_operator is not None else weighted_heat_residual(u, ctx, big)
+    u, ball, hu_operator = _below(u, ball, hu_operator)
+    c = ball.scale
+    big = replace(ball, scale=2.0 * c)
+    q = hu_operator if hu_operator is not None else weighted_heat_residual(u, big)
 
     xs, ts = _sample_ball_points(big)
     vals = field_values(q, xs, ts)
@@ -421,19 +387,18 @@ def subparabolic_gap(
             point(xs[i], ts[i]),
         )
 
-    lhs = phi(u, 2.0 * c, center, ctx, quad).value - phi(u, c, center, ctx, quad).value
+    lhs = phi(u, big, quad).value - phi(u, ball, quad).value
 
-    N = ctx.dim
-    half = _ball_from_center(center, 0.5 * c, ctx)
+    half = replace(ball, scale=0.5 * c)
 
     def g(xs, ts, rs, Rs):
         return -field_values(q, xs, ts)
 
-    def raw(s: QuadratureSpec) -> float:
-        return _ball_integral(half, g, s)[0]
+    def raw(rule: _Rule) -> float:
+        return _ball_integral(half, g, rule)[0]
 
     res = _with_estimate(raw, quad, "subparabolic_gap")
-    rhs = res.value / c ** (0.5 * N)
+    rhs = res.value / c ** (0.5 * ball.dim)
     fitted = lhs / rhs if rhs > 0 else float("inf")
     return GapResult(lhs, rhs, fitted)
 
@@ -446,30 +411,21 @@ def _require_nonnegative(vals, xs, ts, message):
         raise PreconditionError(message, point(xs[i], ts[i]))
 
 
-def harnack_check(
-    u: Field,
-    center: SpaceTimePoint,
-    c: float,
-    ctx: PoleContext,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> HarnackResult:
+def harnack_check(u: Field, ball: HeatBall) -> HarnackResult:
     """Bottom-slice average against the infimum over the inner 3c/4 ball.
 
     For nonnegative pole-weighted caloric fields on the truncated double ball
     the ratio is bounded by a constant depending only on the dimension, not
     on the scale; fixtures track the measured ratio across scales.
     """
-    u, center, ctx, _ = _below(u, center, ctx)
-    ball = _ball_from_center(center, c, ctx)
-    N = ctx.dim
+    u, ball, _ = _below(u, ball)
+    N, c = ball.dim, ball.scale
     t_s = ball.time_center - 1.5 * c
     r_s = 0.5 * math.sqrt(3.0 * N * c)
-    slice_center = ctx.axis([t_s])[0]
+    slice_center = ball.axis([t_s])[0]
 
-    dirs, wdir = sphere_directions(
-        N, Resolution(base_angular=quad.angular_points, base_polar=quad.polar_points)
-    )
-    rx, rw = _gauss(quad.radial_points + 4)
+    dirs, wdir = sphere_directions(N, _DIRECTIONS)
+    rx, rw = _gauss(_FINE.radial)
     r = r_s * rx
     xs = (slice_center + r[:, None, None] * dirs[None, :, :]).reshape(-1, N)
     ts = np.full(xs.shape[0], t_s)
@@ -479,7 +435,7 @@ def harnack_check(
     disk_measure = _sphere_area(N) * r_s**N / N
     average = acc * r_s / disk_measure
 
-    inner = _ball_from_center(center, 0.75 * c, ctx)
+    inner = replace(ball, scale=0.75 * c)
     xs, ts = _sample_ball_points(inner, n_time=24, n_radial=8)
     vals = field_values(u, xs, ts)
     _require_nonnegative(vals, xs, ts, "field is negative inside the inner ball")

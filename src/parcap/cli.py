@@ -29,7 +29,7 @@ from . import __version__
 from .appell import AppellDirection, appell_map_arrays, appell_transform, verify_h_identities
 from .averaging import QuadratureSpec, harnack_check, mean_value
 from .capacity import Refinement, capacity_of_region
-from .geometry import CompactSet, DyadicShells, HeatBall, LevelShells, default_time_center
+from .geometry import CompactSet, DyadicShells, HeatBall, LevelShells
 from .hbrownian import GridPolicy, cluster_probability, simulate
 from .kernel import HalfSpace, PoleContext, kernel_ratio_matrix, log_heat_kernel, log_pole_weight, point
 from .regions import Region
@@ -128,7 +128,6 @@ class BallShell(Shell):
         _above("scale", self.scale, 0)
 
     def check_context(self, ctx, t0=None):
-        t0 = default_time_center(ctx) if t0 is None else t0
         self.build(ctx, t0).check(f"scale {self.scale}")
 
     def build(self, ctx, t0):
@@ -136,15 +135,20 @@ class BallShell(Shell):
 
 
 class _Centred:
-    """A task at `time_center`, or at the context's default time centre."""
+    """A task at `time_center`, or at the context's default time centre when
+    it is None (see HeatBall).  Its check_at_centre(ctx) refuses what it
+    builds there; the error names time_center when one is given."""
 
     def check_context(self, ctx):
         tc = self.time_center
         if tc is not None and not (np.isfinite(tc) and ctx.admits(tc)):
             raise ValueError(f"time_center {tc} is not a finite time in the half-space")
-
-    def t0(self, ctx) -> float:
-        return default_time_center(ctx) if self.time_center is None else self.time_center
+        try:
+            self.check_at_centre(ctx)
+        except ValueError as exc:
+            if tc is None:
+                raise
+            raise ValueError(f"time_center {tc}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -153,13 +157,8 @@ class CapacitySettings(_Centred):
     region: Optional[Region] = None
     time_center: Optional[float] = None
 
-    def check_context(self, ctx):
-        super().check_context(ctx)
-        if self.time_center is not None:  # the shell passed at the default centre
-            try:
-                self.shell.check_context(ctx, self.time_center)
-            except ValueError as exc:
-                raise ValueError(f"time_center {self.time_center}: {exc}") from None
+    def check_at_centre(self, ctx):
+        self.shell.check_context(ctx, self.time_center)
 
 
 # the shell family of each series kind, given the series' lam
@@ -262,6 +261,9 @@ class MeanValueSettings(_Centred):
     def __post_init__(self):
         _above("c", self.c, 0)
 
+    def check_at_centre(self, ctx):
+        HeatBall(ctx, self.time_center, self.c).check(f"c {self.c}")
+
 
 @dataclass(frozen=True)
 class HarnackField:
@@ -280,6 +282,12 @@ class HarnackSettings(_Centred):
         if not self.c_values:
             raise ValueError("c_values needs at least one scale")
         _above("c_values", min(self.c_values), 0)
+
+    def check_at_centre(self, ctx):
+        # each check reads the c ball and the 2c ball of its truncated double
+        for c in self.c_values:
+            for scale in (c, 2.0 * c):
+                HeatBall(ctx, self.time_center, scale).check(f"c_values entry {c}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +348,7 @@ def _named_field(kind, ctx):
 # ---------------------------------------------------------------------------
 
 def _run_capacity(ctx, seed, task: CapacitySettings, refinement: Refinement):
-    shell = task.shell.build(ctx, task.t0(ctx))
+    shell = task.shell.build(ctx, task.time_center)
     result = capacity_of_region(CompactSet(shell, task.region), refinement=refinement,
                                 probe_seed=seed)
     # the result's fields, serialized with the rest of the report by dump_json
@@ -390,14 +398,13 @@ def _run_simulate(ctx, seed, task: SimulateSettings):
 
 def _run_mean_value(ctx, seed, task: MeanValueSettings, quad: QuadratureSpec):
     u, center_val = _named_field(task.u.kind, ctx)
-    t0, c = task.t0(ctx), task.c
-    ball = HeatBall(ctx, t0, c)
-    got = mean_value(u, ball.center, c, ctx, quad=quad)
-    expected = center_val(t0)
+    ball = HeatBall(ctx, task.time_center, task.c)
+    got = mean_value(u, ball, quad)
+    expected = center_val(ball.time_center)
     body = {
-        "c": c,
+        "c": task.c,
         "tolerance": quad.tol,
-        "time_center": t0,
+        "time_center": ball.time_center,
         "time_window": list(ball.time_window),
         "value": got,
         "center_value": expected,
@@ -408,12 +415,12 @@ def _run_mean_value(ctx, seed, task: MeanValueSettings, quad: QuadratureSpec):
 
 
 def _run_harnack(ctx, seed, task: HarnackSettings):
-    t0 = task.t0(ctx)
+    balls = [HeatBall(ctx, task.time_center, c) for c in task.c_values]
     if task.u.kind == "one":
         u = lambda xs, ts: 1.0
     else:
         # the kernel ratio from a source below the largest double ball
-        big = HeatBall(ctx, t0, 2.0 * max(task.c_values))
+        big = HeatBall(ctx, task.time_center, 2.0 * max(task.c_values))
         lo, _ = big.time_window
         src_t = np.array([0.5 * lo if ctx.is_upper else lo - abs(lo) - 1.0])
         src_x = big.axis(src_t)
@@ -421,12 +428,9 @@ def _run_harnack(ctx, seed, task: HarnackSettings):
         def u(xs, ts):
             return kernel_ratio_matrix(xs, ts, src_x, src_t, ctx)[:, 0]
 
-    results = []
-    for c in task.c_values:
-        res = harnack_check(u, HeatBall(ctx, t0, c).center, c, ctx)
-        results.append({"c": c, **to_jsonable(res)})
+    results = [{"c": b.scale, **to_jsonable(harnack_check(u, b))} for b in balls]
     body = {
-        "time_center": t0,
+        "time_center": balls[0].time_center,
         "results": results,
         "max_ratio": max(r["ratio"] for r in results),
     }

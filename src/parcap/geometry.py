@@ -65,15 +65,18 @@ def default_time_center(ctx: PoleContext) -> float:
 
 @dataclass(frozen=True)
 class HeatBall:
-    """Open super-level set of the kernel ratio from a pole-axis center."""
+    """Open super-level set of the kernel ratio from a pole-axis center;
+    time_center None stands for default_time_center(ctx)."""
 
     ctx: PoleContext
-    time_center: float
+    time_center: Optional[float]
     scale: float
 
     def __post_init__(self):
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
+        if self.time_center is None:
+            object.__setattr__(self, "time_center", default_time_center(self.ctx))
         self.ctx.require(self.time_center)
 
     @property
@@ -237,9 +240,8 @@ class ShellFamily:
     which the series report records."""
 
     def shell(self, ctx: PoleContext, n: int, time_center: float | None = None) -> HeatShell:
-        t0 = default_time_center(ctx) if time_center is None else float(time_center)
-        outer = HeatBall(ctx, t0, self.scale(n, ctx.dim))
-        inner = HeatBall(ctx, t0, self.scale(n - 1, ctx.dim))
+        outer = HeatBall(ctx, time_center, self.scale(n, ctx.dim))
+        inner = HeatBall(ctx, time_center, self.scale(n - 1, ctx.dim))
         return HeatShell(outer, inner)
 
     def check(self, ctx: PoleContext, n: int, key: str = "n",
@@ -338,12 +340,8 @@ class HeatBallRegion(Region):
         if self.time_center is not None and not ctx.admits(self.time_center):
             raise ValueError(f"time_center {self.time_center} is outside the half-space")
 
-    def _ball(self, ctx: PoleContext) -> HeatBall:
-        t0 = default_time_center(ctx) if self.time_center is None else self.time_center
-        return HeatBall(ctx, t0, self.scale)
-
     def contains(self, xs, ts, ctx):
-        return self._ball(ctx).contains(xs, ts)
+        return HeatBall(ctx, self.time_center, self.scale).contains(xs, ts)
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,7 @@ def test_criterion_7_averaging():
                 (u_quad, center(t0, u_quad)),
                 (u_mixed, center(t0, u_mixed)),
             ):
-                got = mean_value(u, ball.center, 1.0, ctx)
+                got = mean_value(u, ball)
                 err = abs(got - want) / (1.0 + abs(want))
                 worst_mv = max(worst_mv, err)
                 assert err <= 1e-3, (side, gamma, got, want)
@@ -452,10 +452,10 @@ def test_criterion_7_averaging():
         t0 = default_time_center(ctx)
         ball = HeatBall(ctx, t0, 1.0)
         u = lambda xs, ts: ts
-        pp = phi_prime(u, 1.0, ball.center, ctx, hu_operator=lambda xs, ts: 1.0).value
+        pp = phi_prime(u, ball, hu_operator=lambda xs, ts: 1.0).value
         h = 0.02
         fd = (
-            phi(u, 1.0 + h, ball.center, ctx).value - phi(u, 1.0 - h, ball.center, ctx).value
+            phi(u, HeatBall(ctx, t0, 1.0 + h)).value - phi(u, HeatBall(ctx, t0, 1.0 - h)).value
         ) / (2 * h)
         rel = abs(pp - fd) / abs(fd)
         worst_dd = max(worst_dd, rel)
@@ -465,13 +465,12 @@ def test_criterion_7_averaging():
     worst_ratio = 0.0
     for ctx in (pc.lower_context(1), pc.upper_context(1, [0.4])):
         t0 = default_time_center(ctx)
-        ball = HeatBall(ctx, t0, 1.0)
         big = HeatBall(ctx, t0, 4.0)
         lo_t, _ = big.time_window
         src_t = 0.5 * lo_t if ctx.is_upper else lo_t - 1.0
         src_x = big.axis(np.array([src_t])) + 0.2
         u = lambda xs, ts: pc.kernel_ratio_matrix(xs, ts, src_x, [src_t], ctx)[:, 0]
-        ratios = [harnack_check(u, ball.center, c, ctx).ratio for c in (0.5, 1.0, 2.0)]
+        ratios = [harnack_check(u, HeatBall(ctx, t0, c)).ratio for c in (0.5, 1.0, 2.0)]
         assert all(np.isfinite(r) and 0 < r <= 50.0 for r in ratios)
         assert max(ratios) <= 5.0 * min(ratios)
         worst_ratio = max(worst_ratio, max(ratios))

@@ -163,12 +163,12 @@ def test_operator_transfer_identity(direction):
 
     # constant field: both sides vanish (the weights are caloric)
     z = pc.point(rng.normal(size=dim) * 0.3, tsign * 0.8)
-    res = pc.verify_h_identities(lambda xs, ts: 1.0, z, ctx, step=3e-3, direction=direction)
+    res = pc.verify_h_identities(lambda xs, ts: 1.0, z, ctx, step=3e-3)
     assert abs(res.lhs) < 1e-6 and abs(res.rhs) < 1e-6
 
     for u in (lambda xs, ts: ts, lambda xs, ts: xs[:, 0]):
         z = pc.point(rng.normal(size=dim) * 0.3, tsign * 0.7)
-        r1 = pc.verify_h_identities(u, z, ctx, step=8e-3, direction=direction)
-        r2 = pc.verify_h_identities(u, z, ctx, step=4e-3, direction=direction)
+        r1 = pc.verify_h_identities(u, z, ctx, step=8e-3)
+        r2 = pc.verify_h_identities(u, z, ctx, step=4e-3)
         assert r2.residual < 1e-5
         assert r2.residual <= r1.residual / 2.0 + 1e-12

@@ -241,6 +241,18 @@ def test_mean_value_task(tmp_path):
     assert report["abs_error"] <= 1e-3 * (1 + abs(report["center_value"]))
 
 
+def test_a_nan_quadrature_estimate_is_an_error(tmp_path, capsys):
+    """A lower 1-D ball of scale 1e300 passes HeatBall.check, but its
+    quadrature overflows to NaN: an error with no report, not a NaN value."""
+    cfg = {"context": _CTX_LO, "task": "mean-value",
+           "parameters": {"u": {"kind": "caloric_quadratic"}, "c": 1e300}}
+    out = tmp_path / "mv"
+    with pytest.warns(RuntimeWarning):
+        assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 1
+    assert "QuadratureError" in capsys.readouterr().err
+    assert not (out / "mean_value_report.json").exists()
+
+
 def test_harnack_task(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -608,6 +620,19 @@ _POWER = {"kind": "power", "coef": 1.5, "exponent": 0.5}
         # a finite lower window whose 4 pi dt overflows the kernel
         ("capacity.shell", {"kind": "dyadic", "n": 1022}, "/parameters/shell/n"),
         ("capacity.shell", {"kind": "dyadic", "n": 1021}, "/parameters/shell/n"),
+        # an averaging ball whose window floats cannot hold, refused at the
+        # key that gives it: the c ball, and for harnack also the 2c ball
+        ("mean_value.c", 1e-300, "/parameters/c"),
+        ("mean_value./", {"context": _CTX_LO,
+                          "parameters": {"u": {"kind": "one"}, "c": 1e-300}}, "/parameters/c"),
+        ("mean_value./", {"context": _CTX_LO,
+                          "parameters": {"u": {"kind": "one"}, "time_center": -1e300}},
+         "/parameters/time_center"),
+        ("harnack.c_values", [1.0, 1e-300], "/parameters/c_values"),
+        ("harnack.c_values", [1e307], "/parameters/c_values"),
+        ("harnack./", {"context": {"dim": 1, "gamma": [0.0], "half_space": "upper"},
+                       "parameters": {"u": {"kind": "one"}, "time_center": 1e-300}},
+         "/parameters/time_center"),
     ],
 )
 def test_unknown_or_mistyped_settings_are_config_errors(tmp_path, capsys, key, value, pointer):
