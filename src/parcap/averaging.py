@@ -60,6 +60,7 @@ __all__ = [
     "subparabolic_gap",
     "harnack_check",
     "weighted_heat_residual",
+    "check_weighted_ball",
 ]
 
 
@@ -250,6 +251,28 @@ def _rho_weight_raw(u: Field, ball: HeatBall, rule: _Rule) -> float:
     u_ref = field_values(u, ball.axis(cap_t), cap_t)[0]
     val += u_ref * _cap_geometric_factor(ball, k, cap_base)
     return val
+
+
+# |t - t0| at the vertex cap's deepest node, over the window length, is
+# above 2^-36 in either pass (_time_segments, _cap_geometric_factor)
+_NEAREST = 2.0**-40
+
+
+def check_weighted_ball(ball: HeatBall, lead: str) -> None:
+    """Refuse, with a ValueError led by lead, a ball that HeatBall.check
+    refuses or over which the weight rho^2 (t - t0)^-2 of _rho_weight_raw
+    leaves the floats.  The weight is read on the ball below (the image ball
+    above): there |t - t0| runs from the window length L down to more than
+    L * _NEAREST, and rho^2 up to the peak squared radius R^2.  So L^2,
+    (L * _NEAREST)^-2 and R^2 (L * _NEAREST)^-2 must be finite."""
+    ball.check(lead)
+    below = ball.appell_image() if ball.ctx.is_upper else ball
+    lo, hi = below.time_window
+    far = hi - lo
+    near_sq = far * _NEAREST * far * _NEAREST
+    if not (math.isfinite(far * far) and near_sq > 0.0
+            and math.isfinite(below.peak_radius_sq / near_sq)):
+        raise ValueError(f"{lead} gives the mean-value weight a range that floats cannot hold")
 
 
 def _with_estimate(raw_fn, quad: QuadratureSpec, label: str) -> QuadResult:

@@ -8,8 +8,22 @@ cloud.  Because the kernel vanishes for non-increasing time gaps, collocation
 only on the nodes themselves would let point masses hide; every node is
 therefore duplicated with a small forward-in-time guard offset (half its
 temporal cell) and a halo of constraint points is added in a slab above the
-set.  A seeded random probe cloud, denser than the collocation, re-checks
-feasibility of the returned measure; violations are reported, never clipped.
+set, each point once.  A seeded random probe cloud, denser than the
+collocation, re-checks feasibility of the returned measure; violations are
+reported, never clipped.
+
+A 1-D set symmetric about its pole axis (NodeCloud.axisymmetric) is solved
+on rings: the ring of radius rho is the atom pair axis +- rho, and the LP
+has one column per pair of the cloud and one row per offset |x - axis| of
+the collocation, folded onto the + side and kept once.  Its entries are the
+kernel's mean over the pair (kernel_ratio_matrix with rings).  Mirroring a
+feasible measure keeps it feasible with the same mass, so this is exactly
+the atom LP on the rows and their mirror images; where the rows themselves
+are not mirror-closed, the mirrored ones can bind and the value is below
+the atom LP's on the rows alone.  Each ring's mass is split evenly onto its
+two atoms, so the measure is reported on the cloud's nodes and the probe
+evaluates those atoms; the potential maximum, the row duals and the row
+count are over the folded rows.  Every other cloud is solved on its atoms.
 
 The dense kernel matrix over every collocation row and node is the only
 full-size array a solve allocates, unless a column of it is numerically zero
@@ -27,9 +41,12 @@ Once no row exceeds 1, every other column is priced by its reduced cost, and
 the ones that would raise the value join.  The loop ends when neither rows
 nor columns join; the reduced costs then certify the optimum of the whole
 program (delayed column generation, Gilmore & Gomory, Oper. Res. 9, 1961).
-Each solve keeps one HiGHS model: a round adds only its new rows or columns
+Each solve keeps one HiGHS model, with HiGHS's own scaling off since the
+columns and the cost come scaled: a round adds only its new rows or columns
 to it, and the simplex re-solves from the last basis instead of from
-scratch.  The result carries the feasibility maximum, the complementary
+scratch.  A run that ends with a status that says nothing about the program
+is run once more from scratch on the same rows and columns, and counted as
+a restart.  The result carries the feasibility maximum, the complementary
 slackness residual and the duality gap, all computed over every collocation
 row and every column, not only the working sets.
 
@@ -38,8 +55,9 @@ half-space each dyadic shell is the parabolic dilation (x, t) -> (sqrt(2) x,
 2 t) of the last about its centre, and the program scales with it, masses
 and row duals by c^(N/2) at scale c, as every cell height scales by c.  A
 ``DilationMemo`` keeps, per resolution, the masses and row duals of the last
-optimum of one series call, over its cloud's cell height to the N/2.  A new
-lower-half-space cloud with as many nodes and collocation rows gets them
+optimum of one series call, in the LP's own columns and rows (rings on a
+symmetric 1-D cloud), over its cloud's cell height to the N/2.  A new
+lower-half-space cloud with as many LP columns and rows gets them
 scaled back up by its own cell height, and keeps them only if their own
 certificates on its collocation show them optimal: potential <= 1 +
 ROW_EXCESS on every row, reduced cost A^T y - 1 >= -ROW_EXCESS on every
@@ -163,17 +181,23 @@ def potential(mu: DiscreteMeasure, z: SpaceTimePoint, ctx: PoleContext) -> float
 class Collocation:
     xs: np.ndarray
     ts: np.ndarray
+    # the rows are folded onto the + side of the axis and the LP's columns
+    # are rings (see capacity)
+    rings: bool = False
 
     def __len__(self):
         return self.ts.shape[0]
 
 
 def build_collocation(cloud: NodeCloud) -> Collocation:
-    """Nodes, their forward guards, and a halo slab above the set.
+    """Nodes, their forward guards, and a halo slab above the set, each
+    point once.
 
     Guards sit half a temporal cell above each node, displaced onto the
     local kernel-peak line so the binding constraint faces the spike it is
-    meant to cap."""
+    meant to cap.  The lateral companions of radially neighbouring guards
+    coincide below, where the guards' carry is a translation; a repeat (to
+    SAME_POINT) is dropped and its first occurrence kept."""
     xs, ts, ctx = cloud.xs, cloud.ts, cloud.ctx
     guard_ts = ts + 0.5 * cloud.cell_dts
     guard_xs = ctx.carry(xs, ts, guard_ts)
@@ -213,7 +237,60 @@ def build_collocation(cloud: NodeCloud) -> Collocation:
     cx = np.concatenate(parts_x, axis=0)
     ct = np.concatenate(parts_t, axis=0)
     keep = ctx.admits(ct)
-    return Collocation(cx[keep], ct[keep])
+    cx, ct = cx[keep], ct[keep]
+    first = _first_occurrences(cx, ct)
+    return Collocation(cx[first], ct[first])
+
+
+# points whose coordinates all agree to this relative distance are one point
+SAME_POINT = 1e-12
+
+
+def _first_occurrences(xs, ts):
+    """The index where each distinct point (x, t) first occurs, in order.
+    Points that coincide in exact arithmetic agree only to rounding, which
+    differs from one shell to its dilate, so points that agree to SAME_POINT
+    count as one: then a dilate drops the same rows as its shell.  A
+    dropped point lies within SAME_POINT of a kept one, so the constraints
+    move by no more than that."""
+    pts = np.column_stack([ts, xs])
+    order = np.lexsort(pts.T[::-1])
+    s = pts[order]
+    same = np.all(np.abs(np.diff(s, axis=0))
+                  <= SAME_POINT * np.maximum(np.abs(s[1:]), np.abs(s[:-1])), axis=1)
+    group = np.concatenate([[0], np.cumsum(~same)])
+    first = np.full(group[-1] + 1, order.size)
+    np.minimum.at(first, group, order)
+    return np.sort(first)
+
+
+def _program(cloud: NodeCloud, coll: Collocation) -> tuple[NodeCloud, Collocation]:
+    """The LP's columns and rows: cloud and coll themselves, or, on a cloud
+    of a 1-D set symmetric about its axis, the + node of each mirror pair
+    and coll folded onto the + side."""
+    if cloud.axisymmetric and cloud.dim == 1:
+        return _ring_nodes(cloud), _fold(coll, cloud.ctx)
+    return cloud, coll
+
+
+def _fold(coll: Collocation, ctx: PoleContext) -> Collocation:
+    """coll's rows moved to axis + |x - axis| and each kept once, as the rows
+    of the ring LP: a ring's potential is even in the offset."""
+    axis = ctx.axis(coll.ts)
+    xs = axis + np.abs(coll.xs - axis)
+    first = _first_occurrences(xs, coll.ts)
+    return Collocation(xs[first], coll.ts[first], rings=True)
+
+
+def _ring_nodes(cloud: NodeCloud) -> NodeCloud:
+    """The + node of each mirror pair of a symmetric 1-D cloud, standing for
+    the pair; its cell is on the boundary if either node's is."""
+    plus = slice(0, None, 2)
+    boundary = cloud.boundary
+    if boundary is not None:
+        boundary = boundary[0::2] | boundary[1::2]
+    return replace(cloud, xs=cloud.xs[plus], ts=cloud.ts[plus], cell_dts=cloud.cell_dts[plus],
+                   cell_drs=cloud.cell_drs[plus], boundary=boundary)
 
 
 # probe points per collocation row
@@ -272,8 +349,11 @@ SCIPY_FLOOR = "1.17"
 
 
 def _highs_model():
-    """An empty HiGHS model, with presolve and output off.  scipy's binding
-    is imported here, at the first LP: the import costs more than a whole
+    """An empty HiGHS model, with presolve, output and scaling off: the
+    columns come scaled to peak 1 and the cost to largest entry 1, and with
+    scaling on a warm re-solve of a small 2-D shell took more simplex
+    iterations than solving each round from scratch.  scipy's binding is
+    imported here, at the first LP: the import costs more than a whole
     mean-value task, which solves none, and only a kept model re-solves from
     its last basis."""
     try:
@@ -287,6 +367,7 @@ def _highs_model():
     model = _Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("presolve", "off")
+    model.setOptionValue("simplex_scale_strategy", 0)
     return model
 
 
@@ -300,24 +381,41 @@ def _add_columns(model, c, entries):
                   rows.astype(np.int32), entries[rows, cols])
 
 
+# model statuses that say nothing about the program: a warm re-solve can end
+# on one of them (seen as "Not Set" after HiGHS raised its Markowitz
+# threshold), while the same program solves from scratch
+_INDEFINITE = ("kNotset", "kSolveError", "kUnknown")
+
+
 def linprog(model, *, A_ub):
     """Add the rows A_ub @ x <= 1, over the model's columns, to model and
-    re-solve it from its last basis; A_ub may have no rows.  Returns x over
-    the model's columns (None unless optimal), this run's simplex iterations
-    as nit, success and the model status as message."""
+    re-solve it from its last basis; A_ub may have no rows.  A run that ends
+    with an indefinite status is run once more from scratch, on the same
+    rows and columns, without the last basis.  Returns x over the model's
+    columns (None unless optimal), the simplex iterations of the call as
+    nit, success, the model status as message and the restarts made (0 or
+    1)."""
     m = A_ub.shape[0]
     rows, cols = np.nonzero(A_ub)
     starts = np.searchsorted(rows, np.arange(m)).astype(np.int32)
     model.addRows(m, np.full(m, -np.inf), np.ones(m), rows.size, starts,
                   cols.astype(np.int32), A_ub[rows, cols])
     model.run()
+    nit = int(model.getInfo().simplex_iteration_count)
     status = model.getModelStatus()
+    restarts = int(status.name in _INDEFINITE)
+    if restarts:
+        model.clearSolver()
+        model.run()
+        nit += int(model.getInfo().simplex_iteration_count)
+        status = model.getModelStatus()
     success = status == type(status).kOptimal
     return SimpleNamespace(
         x=np.asarray(model.getSolution().col_value) if success else None,
-        nit=int(model.getInfo().simplex_iteration_count),
+        nit=nit,
         success=success,
         message=model.modelStatusToString(status),
+        restarts=restarts,
     )
 
 
@@ -348,7 +446,8 @@ def _solve_by_generation(A, c, start_rows, start_cols, inv):
     new = working.copy()
     new[start_rows] = True
     order = np.zeros(0, dtype=np.intp)  # the model's rows, in its order
-    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_columns": 0, "lp_iterations": 0}
+    facts = {"lp_rounds": 0, "lp_rows": 0, "lp_columns": 0, "lp_iterations": 0,
+             "lp_restarts": 0}
     x = np.zeros(cols.size)
     while True:
         rows = np.flatnonzero(new)
@@ -364,6 +463,7 @@ def _solve_by_generation(A, c, start_rows, start_cols, inv):
         if not res.success:
             best = float(np.sum(x * inv[cols])) / max(1.0, float(np.max(pots)))
             raise SolverFailure(f"LP failed: {res.message}", best)
+        facts["lp_restarts"] += res.restarts
         new = ~working & (pots > 1.0 + ROW_EXCESS)
         if np.any(new):
             continue
@@ -418,23 +518,28 @@ def capacity(
 
     ctx = cloud.ctx
     coll = collocation if collocation is not None else build_collocation(cloud)
-    proposal = None if memo is None else memo.propose(cloud, coll)
-    solved = None if proposal is None else _check_proposal(cloud, coll, proposal)
+    nodes, rows = _program(cloud, coll)
+    proposal = None if memo is None else memo.propose(nodes, rows)
+    solved = None if proposal is None else _check_proposal(nodes, rows, proposal)
     if solved is None:
-        solved = _solve(cloud, coll)
+        solved = _solve(nodes, rows)
     masses, y, pots, red, lp_facts = solved
     if memo is not None:
-        memo.keep(cloud, masses, y)
+        memo.keep(nodes, masses, y)
 
-    value = float(np.sum(masses))
-    mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
-    scale = max(1.0, value)
     comp_slack = max(
         float(np.max(np.abs(y * (1.0 - pots)))) if y.size else 0.0,
         float(np.max(np.abs(masses * red))),
-    ) / scale
+    ) / max(1.0, float(np.sum(masses)))
     gap = _duality_gap(masses, y)
+    if rows.rings:
+        # each ring's mass goes half to each atom of its pair
+        masses = np.repeat(0.5 * masses, 2)
+    value = float(np.sum(masses))
+    mu = DiscreteMeasure(cloud.xs, cloud.ts, masses)
 
+    # a symmetric measure's potential is even in the offset, so the probe
+    # reads the atoms at the points as drawn
     px, pt = _probe_points(cloud, coll, probe_seed)
     probe_max = float(np.max(potential_batch(mu, px, pt, ctx))) if pt.size else 0.0
 
@@ -449,7 +554,7 @@ def capacity(
         converged=True,
         diagnostics={
             "n_nodes": len(cloud),
-            "n_collocation": len(coll),
+            "n_collocation": len(rows),
             "n_candidates": cloud.n_candidates,
             "support_size": int(np.sum(masses > 1e-12 * max(value, 1e-30))),
             **lp_facts,
@@ -461,7 +566,7 @@ def _solve(cloud: NodeCloud, coll: Collocation):
     """Masses, row duals, the potential on every row and each column's reduced
     cost A^T y - 1 (zero on dead columns) by row and column generation over
     the dense kernel matrix, with the solver facts."""
-    A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
+    A = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx, rings=coll.rings)
 
     peak, col_max = _column_peaks(A)
     alive = col_max > 0.0
@@ -532,15 +637,16 @@ def _check_proposal(cloud: NodeCloud, coll: Collocation, proposal):
     # so a proposal that fails the dual test is refused at the lower cost
     rows = y > 0.0
     red = y[rows] @ kernel_ratio_matrix(coll.xs[rows], coll.ts[rows], cloud.xs, cloud.ts,
-                                        cloud.ctx) - 1.0
+                                        cloud.ctx, rings=coll.rings) - 1.0
     if not np.min(red) >= -ROW_EXCESS:
         return None
     on = masses > 0.0
-    pots = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs[on], cloud.ts[on], cloud.ctx) @ masses[on]
+    pots = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs[on], cloud.ts[on], cloud.ctx,
+                               rings=coll.rings) @ masses[on]
     if not np.max(pots) <= 1.0 + ROW_EXCESS:
         return None
     return masses, y, pots, red, {"lp_rounds": 0, "lp_rows": 0, "lp_columns": 0,
-                                  "lp_iterations": 0}
+                                  "lp_iterations": 0, "lp_restarts": 0}
 
 
 class DilationMemo:
@@ -554,9 +660,10 @@ class DilationMemo:
 
     def propose(self, cloud: NodeCloud, coll: Collocation):
         """The kept (masses, row duals) at cloud's resolution scaled up to
-        cloud, if the kept cloud has as many nodes and collocation rows; else
-        None, and always None in the upper half-space, whose node placement
-        is not dilation-covariant."""
+        cloud, if the kept program has as many columns and rows as cloud
+        and coll, the LP's own (see _program); else None, and always None
+        in the upper half-space, whose node placement is not
+        dilation-covariant."""
         kept = self._kept.get(cloud.resolution)
         if (cloud.ctx.is_upper or kept is None or kept.masses.size != len(cloud)
                 or kept.duals.size != len(coll)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .appell import AppellDirection, appell_map_arrays, appell_transform, verify_h_identities
-from .averaging import QuadratureSpec, harnack_check, mean_value
+from .averaging import QuadratureSpec, check_weighted_ball, harnack_check, mean_value
 from .capacity import Refinement, capacity_of_region
 from .geometry import CompactSet, DyadicShells, HeatBall, LevelShells
 from .hbrownian import GridPolicy, cluster_probability, simulate
@@ -262,7 +262,7 @@ class MeanValueSettings(_Centred):
         _above("c", self.c, 0)
 
     def check_at_centre(self, ctx):
-        HeatBall(ctx, self.time_center, self.c).check(f"c {self.c}")
+        check_weighted_ball(HeatBall(ctx, self.time_center, self.c), f"c {self.c}")
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,9 @@ class HeatBallRegion(Region):
         if self.time_center is not None and not ctx.admits(self.time_center):
             raise ValueError(f"time_center {self.time_center} is outside the half-space")
 
+    def axisymmetric(self, ctx: PoleContext) -> bool:
+        return True
+
     def contains(self, xs, ts, ctx):
         return HeatBall(ctx, self.time_center, self.scale).contains(xs, ts)
 
@@ -444,6 +447,9 @@ class NodeCloud:
     # (M,) bool: the node's cell borders one that is not kept (see
     # discretize); None stands for every node, as in a cloud built by hand
     boundary: Optional[np.ndarray] = None
+    # the set is symmetric about the context's axis (see discretize); in 1-D
+    # the nodes then come in mirror pairs, the one at axis + r first
+    axisymmetric: bool = False
 
     def __len__(self) -> int:
         return self.ts.shape[0]
@@ -506,6 +512,13 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
     lies the outer ball's complement, before the inner end the inner ball,
     or, in a slice without a hole, the axis, whose far side the rule does
     not look across.
+
+    The cloud records whether the set is symmetric about its axis, by the
+    structural rule of Region.axisymmetric.  In 1-D the two directions
+    are +1 and -1, so a symmetric set's nodes come in mirror pairs axis +- r,
+    the + node first, and the capacity LP solves on one column per pair.  A
+    1-D cloud whose kept cells are not all in pairs, which only rounding in
+    membership at a boundary could cause, is recorded as not symmetric.
     """
     if isinstance(resolution, int):
         resolution = Resolution(level=resolution)
@@ -520,6 +533,9 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
 
     xs_parts, ts_parts, dt_parts, dr_parts, bd_parts = [], [], [], [], []
     candidates = 0
+    # shells and balls are symmetric about the axis, so the set is when its
+    # region is
+    symmetric = compact.region is None or compact.region.axisymmetric(ctx)
     # the previous slice's kept cells, by (radial cell, direction)
     prev = np.zeros((n_r, ndir), dtype=bool)
     for k in range(resolution.n_time):
@@ -548,6 +564,8 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
 
         keep = compact.contains(pts, tt)
         block = keep.reshape(n_r, ndir)
+        if N == 1:
+            symmetric = symmetric and bool(np.array_equal(block[:, 0], block[:, 1]))
         interior = prev & np.roll(block, 1, axis=0) & np.roll(block, -1, axis=0)
         interior[[0, -1]] = False
         for col in nbrs.T:
@@ -572,4 +590,5 @@ def discretize(compact: CompactSet, resolution: Resolution | int) -> NodeCloud:
         ctx,
         candidates,
         np.concatenate(bd_parts),
+        symmetric,
     )

@@ -291,6 +291,8 @@ def kernel_ratio_matrix(
     wx: np.ndarray,
     wt: np.ndarray,
     ctx: PoleContext,
+    *,
+    rings: bool = False,
 ) -> np.ndarray:
     """Matrix of F(z - w) / (weight(z) * weight_star(w)) over rows z, cols w.
 
@@ -304,6 +306,12 @@ def kernel_ratio_matrix(
     rather than as a difference of the -1/(4t) coordinates, which would lose
     digits between nearby rows.  Measuring offsets from the axis keeps the
     squared distance free of the large |gamma|^2 |t| terms that cancel.
+
+    With rings (1-D only), column w stands for the ring of radius rho = |u_w|
+    about the axis, the atom pair axis +- rho, and row z is read at a =
+    |u_z|.  The entry is the kernel's mean over the pair, which is the
+    closed form above at |a - rho| times the 1-D sphere mean
+    (1 + e^(-2z)) / 2, z = a rho / 2 gap; both factors are at most 1.
 
     Entries whose gap (dt below, dt / (4 t tau) above) is <= TIME_EPS are
     exactly zero.  The cut reads the gap the closed form uses: above, the
@@ -322,6 +330,8 @@ def kernel_ratio_matrix(
     wx = np.atleast_2d(np.asarray(wx, dtype=float))
     zt = np.asarray(zt, dtype=float).reshape(-1)
     wt = np.asarray(wt, dtype=float).reshape(-1)
+    if rings and ctx.dim != 1:
+        raise ValueError(f"ring columns are implemented in 1-D only, not in {ctx.dim}-D")
     out = np.zeros((zt.shape[0], wt.shape[0]))
     if out.size == 0:
         return out
@@ -331,6 +341,8 @@ def kernel_ratio_matrix(
     if ctx.is_upper:
         uz = uz / (2.0 * zt[:, None])
         uw = uw / (2.0 * wt[:, None])
+    if rings:
+        uz, uw = np.abs(uz), np.abs(uw)
     uz2 = np.sum(uz**2, axis=1)
     uw2 = np.sum(uw**2, axis=1)
     # suffix_min[j] = min(wt[j:]) is sorted, so the first column from which
@@ -355,6 +367,9 @@ def kernel_ratio_matrix(
         sq = uz[rows, None, 0] * uw[None, :p, 0]
         for k in range(1, uz.shape[1]):
             sq += uz[rows, None, k] * uw[None, :p, k]
+        if rings:
+            # -4 a rho: over the 4 gap below it is -a rho / gap = -2z
+            mirror = -4.0 * sq
         sq *= 2.0
         np.subtract(uz2[rows, None], sq, out=sq)
         sq += uw2[None, :p]
@@ -362,10 +377,14 @@ def kernel_ratio_matrix(
         # entries off the causal mask may turn inf or nan here; exp skips them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sq /= gap
+            if rings:
+                mirror /= gap
             gap *= np.pi
             np.log(gap, out=gap, where=pos)
             gap *= -0.5 * ctx.dim
             gap -= sq
+            if rings:
+                gap += np.log1p(np.exp(mirror)) - np.log(2.0)
         block = out[rows, :p]
         with np.errstate(under="ignore"):
             np.exp(gap, out=block, where=pos)

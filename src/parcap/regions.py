@@ -54,6 +54,13 @@ class Region(ABC):
     def contains(self, xs: np.ndarray, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:
         """Boolean mask for points (xs[i], ts[i]); xs is (M, N), ts is (M,)."""
 
+    def axisymmetric(self, ctx: PoleContext) -> bool:
+        """Whether membership depends only on t and the distance |x - axis(t)|
+        to ctx's pole axis, so that the region is symmetric about it.  Read
+        off the region's structure, never by sampling; a node that does not
+        say so is taken as not symmetric."""
+        return False
+
     def to_json(self) -> dict:
         return to_jsonable(self)
 
@@ -147,6 +154,9 @@ def tube_profile_from_csv(path) -> TableProfile:
 class EmptyRegion(Region):
     kind = "empty"
 
+    def axisymmetric(self, ctx):
+        return True
+
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)
         return np.zeros(ts.shape, dtype=bool)
@@ -155,6 +165,9 @@ class EmptyRegion(Region):
 @dataclass(frozen=True)
 class FullRegion(Region):
     kind = "full"
+
+    def axisymmetric(self, ctx):
+        return True
 
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)
@@ -179,6 +192,9 @@ class TimeSlab(Region):
         if not ctx.is_upper and self.t_min >= 0.0:
             raise ValueError(f"t_min {self.t_min} leaves the slab outside the half-space t < 0")
 
+    def axisymmetric(self, ctx):
+        return True
+
     def contains(self, xs, ts, ctx):
         _, ts = _as_batch(xs, ts)
         return (ts >= self.t_min) & (ts <= self.t_max)
@@ -200,6 +216,13 @@ class SpaceBall(Region):
     def check_context(self, ctx):
         if self.center.size != ctx.dim:
             raise ValueError(f"center needs {ctx.dim} components, got {self.center.size}")
+
+    def axisymmetric(self, ctx):
+        # the axis is gamma above and -2 t gamma below, which stays put only
+        # at gamma 0
+        if ctx.is_upper:
+            return bool(np.array_equal(self.center, ctx.gamma))
+        return not (np.any(ctx.gamma) or np.any(self.center))
 
     def contains(self, xs, ts, ctx):
         xs, _ = _as_batch(xs, ts)
@@ -242,6 +265,11 @@ class Tube(Region):
         if self.axis not in ("pole", "drift"):
             raise ValueError(f"axis must be 'pole' or 'drift', got {self.axis!r}")
 
+    def axisymmetric(self, ctx):
+        # about ctx's own axis, or at gamma 0, where the two lines coincide
+        own = "pole" if ctx.is_upper else "drift"
+        return self.axis == own or not np.any(ctx.gamma)
+
     def _axis_points(self, ts: np.ndarray, ctx: PoleContext) -> np.ndarray:
         # the pole line is the upper half-space's axis, the drift line the
         # lower's, whichever half-space the tube is tested in
@@ -267,6 +295,9 @@ class Union(Region):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
+    def axisymmetric(self, ctx):
+        return all(ch.axisymmetric(ctx) for ch in self.children)
+
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
         out = np.zeros(ts.shape, dtype=bool)
@@ -283,6 +314,9 @@ class Intersection(Region):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
+    def axisymmetric(self, ctx):
+        return all(ch.axisymmetric(ctx) for ch in self.children)
+
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
         out = np.ones(ts.shape, dtype=bool)
@@ -295,6 +329,9 @@ class Intersection(Region):
 class Complement(Region):
     kind = "complement"
     child: Region
+
+    def axisymmetric(self, ctx):
+        return self.child.axisymmetric(ctx)
 
     def contains(self, xs, ts, ctx):
         xs, ts = _as_batch(xs, ts)
@@ -315,6 +352,11 @@ class AppellImage(Region):
     @staticmethod
     def child_context(ctx: PoleContext) -> PoleContext:
         return ctx.mirror()
+
+    def axisymmetric(self, ctx):
+        # the map carries one context's axis onto the other's, and offsets
+        # from it to offsets scaled by 1/2t, so mirror images to mirror images
+        return self.child.axisymmetric(ctx.mirror())
 
     def contains(self, xs, ts, ctx):
         from .appell import AppellDirection, appell_map_arrays

@@ -12,6 +12,7 @@ from parcap.capacity import (
     SCIPY_FLOOR,
     Refinement,
     _column_peaks,
+    _program,
     build_collocation,
     capacity,
     capacity_of_region,
@@ -414,7 +415,7 @@ def _full_matrix_optimum(cloud, coll):
     HiGHS's default options (presolve on): a reference the solve never sees."""
     from scipy.optimize import linprog
 
-    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx)
+    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, cloud.ctx, rings=coll.rings)
     ref = linprog(-np.ones(K.shape[1]), A_ub=K, b_ub=np.ones(K.shape[0]),
                   bounds=(0.0, None), method="highs")
     assert ref.success
@@ -465,16 +466,21 @@ def test_row_generation_matches_the_full_matrix_program(monkeypatch, ctx, region
     monkeypatch.setattr(cap_module, "linprog", recording_linprog)
     monkeypatch.setattr(cap_module, "_solve_by_generation", recording_generation)
     cloud = discretize(pc.CompactSet(pc.dyadic_shell(ctx, 1), region), resolution)
-    coll = build_collocation(cloud)
-    res = capacity(cloud, collocation=coll)
+    res = capacity(cloud)
+    masses = res.capacitary.masses
+    # the program the solve sees: on the symmetric 1-D shell one column per
+    # mirror pair, of the pair's mass, and the rows folded onto its + side
+    cloud, coll = _program(cloud, build_collocation(cloud))
+    assert coll.rings == (ctx.dim == 1 and region is None)
+    if coll.rings:
+        masses = masses[0::2] + masses[1::2]
     ref_value, K = _full_matrix_optimum(cloud, coll)
 
     assert abs(res.value - ref_value) <= 1e-9 * ref_value
     # the certificates cover every row, not only the ones HiGHS saw
     diag = res.diagnostics
     assert diag["n_collocation"] == len(coll) == K.shape[0]
-    assert res.max_potential == pytest.approx(float(np.max(K @ res.capacitary.masses)),
-                                              rel=1e-12)
+    assert res.max_potential == pytest.approx(float(np.max(K @ masses)), rel=1e-12)
     # rows off the working set end at most 1e-9 above 1, rows on it within
     # HiGHS's own 1e-7 feasibility tolerance
     assert res.max_potential <= 1.0 + 1e-7
@@ -575,15 +581,55 @@ def test_solver_failure_reports_a_feasible_value(monkeypatch, iterate):
         return
     # the iterate is unit mass in the units of each column's peak on the
     # model's columns, which start at the cloud's boundary: scaled onto
-    # every row it is a measure of potential at most 1 everywhere
-    coll = build_collocation(cloud)
-    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, lo)
+    # every row it is a measure of potential at most 1 everywhere.  The
+    # shell is symmetric, so the columns are its rings
+    cloud, coll = _program(cloud, build_collocation(cloud))
+    K = kernel_ratio_matrix(coll.xs, coll.ts, cloud.xs, cloud.ts, lo, rings=coll.rings)
     assert 0 < np.sum(cloud.boundary) < len(cloud)
     masses = np.where(cloud.boundary, 1.0 / K.max(axis=0), 0.0)
     masses /= max(1.0, float(np.max(K @ masses)))
     assert best == pytest.approx(float(np.sum(masses)), rel=1e-12)
     assert float(np.max(K @ masses)) <= 1.0 + 1e-12
     assert best > 0.0
+
+
+class _SkipsRuns:
+    """A HiGHS model whose first `skips` runs do nothing: a model that has
+    never run ends such a run with the status "Not Set"."""
+
+    def __init__(self, model, skips):
+        self._model, self._skips = model, skips
+
+    def run(self):
+        if self._skips:
+            self._skips -= 1
+            return None
+        return self._model.run()
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+@pytest.mark.parametrize("skips", [1, 2])
+def test_a_run_that_ends_without_a_status_is_restarted_once(monkeypatch, skips):
+    """The first run of the first round ends with "Not Set".  The round is
+    run once more from scratch on the same rows and columns, and counted;
+    if that run fails too, the solve fails as any other."""
+    cap_module = sys.modules[capacity.__module__]
+    cloud = discretize(pc.CompactSet(pc.dyadic_shell(pc.lower_context(1), 0), None),
+                       Resolution(level=1))
+    plain = capacity(cloud)
+    new_model = cap_module._highs_model
+    monkeypatch.setattr(cap_module, "_highs_model", lambda: _SkipsRuns(new_model(), skips))
+    if skips == 2:
+        with pytest.raises(pc.SolverFailure, match="LP failed: Not Set"):
+            capacity(cloud)
+        return
+    res = capacity(cloud)
+    assert plain.diagnostics["lp_restarts"] == 0 and res.diagnostics["lp_restarts"] == 1
+    assert res.diagnostics["lp_rounds"] == plain.diagnostics["lp_rounds"]
+    assert res.value == pytest.approx(plain.value, rel=1e-9)
+    assert res.max_potential <= 1.0 + 1e-7 and res.duality_gap <= 1e-9
 
 
 def test_failure_in_capacity_of_region_keeps_the_feasible_value(monkeypatch):

@@ -242,15 +242,47 @@ def test_mean_value_task(tmp_path):
 
 
 def test_a_nan_quadrature_estimate_is_an_error(tmp_path, capsys):
-    """A lower 1-D ball of scale 1e300 passes HeatBall.check, but its
-    quadrature overflows to NaN: an error with no report, not a NaN value."""
-    cfg = {"context": _CTX_LO, "task": "mean-value",
-           "parameters": {"u": {"kind": "caloric_quadratic"}, "c": 1e300}}
+    """A lower 1-D context of gamma 1e200 passes every check, but the pole
+    weight's |gamma|^2 t overflows and the quadrature reads NaN: an error
+    with no report, not a NaN value."""
+    cfg = {"context": {**_CTX_LO, "gamma": [1e200]}, "task": "mean-value",
+           "parameters": {"u": {"kind": "caloric_quadratic"}, "c": 1.0}}
     out = tmp_path / "mv"
     with pytest.warns(RuntimeWarning):
         assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 1
     assert "QuadratureError" in capsys.readouterr().err
     assert not (out / "mean_value_report.json").exists()
+
+
+@pytest.mark.parametrize("c", [1e155, 1e300])
+def test_an_overflowing_mean_value_weight_is_refused_before_any_compute(tmp_path, capsys,
+                                                                         monkeypatch, c):
+    """Lower 1-D balls of scale 1e155 and 1e300 pass HeatBall.check, but
+    the squared time offsets (t - t0)^2 of their weight overflow, as they do
+    from about 1.3e154: refused at the pointer before the quadrature runs."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(cli, "mean_value", no_compute)
+    cfg = {"context": _CTX_LO, "task": "mean-value",
+           "parameters": {"u": {"kind": "caloric_quadratic"}, "c": c}}
+    out = tmp_path / "mv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error /parameters/c: ")
+    assert not (out / "mean_value_report.json").exists()
+
+
+def test_the_largest_mean_value_weight_below_the_overflow_still_runs(tmp_path):
+    """The constant field keeps its mean value 1 up to c = 1e154, the last
+    power of ten whose weight the check accepts."""
+    cfg = {"context": _CTX_LO, "task": "mean-value",
+           "parameters": {"u": {"kind": "one"}, "c": 1e154}}
+    out = tmp_path / "mv"
+    assert run(["run", write_config(tmp_path, cfg), "--out", out]) == 0
+    assert json.loads((out / "mean_value_report.json").read_text())["value"] == pytest.approx(
+        1.0, rel=1e-3)
 
 
 def test_harnack_task(tmp_path):
@@ -317,8 +349,9 @@ REPORT_KEYS_CASES = {
                         "resolution": {"base_time": 6, "base_radial": 2}}},
         {"comp_slack_residual", "context", "context.dim", "context.gamma",
          "context.half_space", "converged", "criterion", "diagnostics",
-         "diagnostics.lp_columns", "diagnostics.lp_iterations", "diagnostics.lp_rounds",
-         "diagnostics.lp_rows", "diagnostics.n_candidates", "diagnostics.n_collocation",
+         "diagnostics.lp_columns", "diagnostics.lp_iterations", "diagnostics.lp_restarts",
+         "diagnostics.lp_rounds", "diagnostics.lp_rows", "diagnostics.n_candidates",
+         "diagnostics.n_collocation",
          "diagnostics.n_nodes", "diagnostics.support_size", "duality_gap", "history", "max_potential", "measure",
          "measure.masses", "measure.nodes_t", "measure.nodes_x", "probe_max_potential",
          "rel_stall", "resolution", "resolution.level", "resolution.n_angular",
@@ -677,7 +710,7 @@ def _run_largest(tmp_path, capsys, context, ns, largest):
     return values
 
 
-@pytest.mark.parametrize("half_space, value_1000", [("lower", 1.112019029980878e+151)])
+@pytest.mark.parametrize("half_space, value_1000", [("lower", 1.1120190299808689e+151)])
 def test_the_largest_accepted_shell_index_runs_without_overflow(tmp_path, capsys, half_space,
                                                                 value_1000):
     """The largest dyadic n the check accepts runs at level 0 with no

@@ -384,6 +384,34 @@ def test_ratio_matrix_cuts_entries_that_underflow(make, dim):
     assert not np.any((got > 0.0) & (got < 1e-300))
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, -3.0])
+@pytest.mark.parametrize("make", [pc.lower_context, pc.upper_context])
+def test_ring_entries_are_the_mean_over_the_mirror_pair(make, gamma):
+    """A ring column is the atom pair axis +- |u_w| and its entry the mean
+    of the two atoms' entries, read at the row's |u_z|: rows on either side
+    of the axis give the same entry, and so do columns."""
+    ctx = make(1, [gamma])
+    zx, zt, wx, wt = _ratio_inputs(np.random.default_rng(int(10 * gamma) + 37), ctx, 300, 120,
+                                   "shuffled")
+    got = kernel_ratio_matrix(zx, zt, wx, wt, ctx, rings=True)
+    mirror_w = 2.0 * ctx.axis(wt) - wx
+    pair = 0.5 * (kernel_ratio_matrix(zx, zt, wx, wt, ctx)
+                  + kernel_ratio_matrix(zx, zt, mirror_w, wt, ctx))
+    assert 0.2 < np.mean(got > 0.0) < 0.8
+    assert np.array_equal(got > 0.0, pair > 0.0)
+    # to rounding in exponents that reach several hundred
+    assert np.allclose(got, pair, rtol=1e-10, atol=0.0)
+    u = zx - ctx.axis(zt)
+    folded = kernel_ratio_matrix(ctx.axis(zt) + np.abs(u), zt, mirror_w, wt, ctx, rings=True)
+    assert np.allclose(folded, got, rtol=1e-10, atol=0.0)
+
+
+def test_ring_columns_are_1d_only():
+    ctx = pc.lower_context(2)
+    with pytest.raises(ValueError, match="1-D only"):
+        kernel_ratio_matrix(np.zeros((1, 2)), [-1.0], np.zeros((1, 2)), [-2.0], ctx, rings=True)
+
+
 def test_ratio_matrix_allocates_little_beyond_its_output():
     ctx = pc.lower_context(1, [0.5])
     zx, zt, wx, wt = _ratio_inputs(np.random.default_rng(3), ctx, 3000, 1000, "shuffled")
